@@ -16,6 +16,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 
 import numpy as np
@@ -246,6 +247,11 @@ def _cmd_psi(args) -> str:
 # -- distfit ----------------------------------------------------------------
 
 
+# Largest grid a start:stop:step spec may expand to, checked before the grid
+# is built (the same guard as distribution's histogram bin limit).
+_MAX_GRID = 1_000_000
+
+
 def _parse_grid(spec: str) -> tuple[float, ...]:
     """Grid syntax: 'start:stop:step' (inclusive) or a comma list."""
     if ":" in spec:
@@ -253,10 +259,14 @@ def _parse_grid(spec: str) -> tuple[float, ...]:
         if len(parts) != 3:
             raise CliError(f"grid {spec!r} must be start:stop:step or a comma list")
         start, stop, step = (float(p) for p in parts)
+        if not all(math.isfinite(v) for v in (start, stop, step)):
+            raise CliError(f"grid {spec!r} has a non-finite start, stop or step")
         if step <= 0 or stop < start:
             raise CliError(f"grid {spec!r} has a bad range")
-        count = int(round((stop - start) / step)) + 1
-        return tuple(round(start + i * step, 12) for i in range(count))
+        span = (stop - start) / step  # may overflow to inf for finite bounds
+        if not span < _MAX_GRID:
+            raise CliError(f"grid {spec!r} exceeds the {_MAX_GRID} point limit")
+        return tuple(round(start + i * step, 12) for i in range(round(span) + 1))
     try:
         return tuple(float(p) for p in spec.split(","))
     except ValueError:
@@ -284,7 +294,22 @@ def _citation_values(args, dataset) -> list[float]:
     return positive
 
 
+# distfit options that only some analyses read; any other analysis refuses them
+_DISTFIT_OPTION_ANALYSES = {
+    "objective": ("--objective", ("beta",)),
+    "raw_objective": ("--raw-objective", ("beta",)),
+    "beta_grid": ("--beta-grid", ("beta", "moments")),
+    "k_grid": ("--k-grid", ("beta", "moments")),
+}
+
+
 def _cmd_distfit(args) -> str:
+    for attr, (flag, analyses) in _DISTFIT_OPTION_ANALYSES.items():
+        if getattr(args, attr) not in (None, False) and args.analysis not in analyses:
+            raise CliError(
+                f"{flag} does not apply to --analysis {args.analysis}; "
+                f"it applies to --analysis {' or '.join(analyses)}"
+            )
     dataset = _load_dataset(args)
     handler = {
         "slope": _distfit_slope,
@@ -336,7 +361,11 @@ def _distfit_beta(args, dataset) -> str:
         raise CliError("--raw-objective applies only with --objective moments")
     try:
         fit = distribution.fit_beta(
-            values, beta_grid, k_grid, log_residuals=not args.raw_objective, objective=args.objective
+            values,
+            beta_grid,
+            k_grid,
+            log_residuals=not args.raw_objective,
+            objective=args.objective or "likelihood",
         )
     except ValueError as exc:
         raise CliError(str(exc)) from None
@@ -579,7 +608,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--objective",
         choices=distribution.BETA_OBJECTIVES,
-        default="likelihood",
+        default=None,
         help="shape-fit objective: profile likelihood (default) or moment ratios",
     )
     p.add_argument(

@@ -39,7 +39,7 @@ class IngestReport:
 def _open_rows(source, delimiter: str):
     """Yield CSV rows from a path or an open file/line iterable."""
     if isinstance(source, (str, Path)):
-        with open(source, encoding="utf-8", newline="") as fh:
+        with open(source, encoding="utf-8-sig", newline="") as fh:
             yield from csv.reader(fh, delimiter=delimiter)
     else:
         yield from csv.reader(source, delimiter=delimiter)
@@ -355,7 +355,7 @@ def read_dataset_file(path: str | os.PathLike, delimiter: str = ",") -> IngestRe
             return IngestReport(None, errors=(f"invalid JSON: {exc}",))
         return read_dataset(document)
 
-    with open(path, encoding="utf-8", newline="") as fh:
+    with open(path, encoding="utf-8-sig", newline="") as fh:
         header_line = fh.readline()
         names = {c.strip() for c in next(csv.reader([header_line], delimiter=delimiter), [])}
         fh.seek(0)

@@ -9,8 +9,8 @@ top-heavy ones damped.
 
 Determinism: every sample draws from a stream derived from
 ``(seed, group position, sample index)``, so reports are bit-identical for
-identical inputs regardless of evaluation order, parallelism, or which
-sampling kernel backend is installed.
+identical inputs regardless of evaluation order, parallelism, or how the
+sampling kernel batches the samples.
 """
 
 from __future__ import annotations

@@ -1,8 +1,8 @@
-"""Pure-Python subset-sampling kernel.
+"""Reference subset-sampling kernel: the sampling contract as a plain loop.
 
-Mirrors ``_subset_ext.pyx`` exactly; see the package docstring in
-``alphaindex._kernels`` for the shared sampling contract.  All arithmetic is
-on 64-bit-masked Python integers so the stream matches the C version.
+One sample at a time, on 64-bit-masked Python integers, exactly as the
+contract in ``alphaindex._kernels`` states it.  The tests compare the numpy
+kernel against this loop; it is not used by the package.
 """
 
 _MASK64 = (1 << 64) - 1

@@ -343,6 +343,47 @@ class TestDistfit:
         assert code == 0
         check_schema(json.loads(out), "distfit_beta")
 
+    @pytest.mark.parametrize(
+        "flag, analyses",
+        [
+            (["--objective", "moments"], ["moments", "slope", "giddings", "normality"]),
+            (["--raw-objective"], ["moments", "slope", "giddings", "normality"]),
+            (["--beta-grid", "0.2,0.3"], ["slope", "giddings", "normality"]),
+            (["--k-grid", "1.0,2.0"], ["slope", "giddings", "normality"]),
+        ],
+        ids=["objective", "raw-objective", "beta-grid", "k-grid"],
+    )
+    def test_inapplicable_option_refused(self, capsys, summary_file, flag, analyses):
+        for analysis in analyses:
+            code, out, err = run(
+                capsys, "distfit", summary_file, "--analysis", analysis, *flag, "--quiet"
+            )
+            assert code == 1, analysis
+            assert out == ""
+            assert flag[0] in err and f"--analysis {analysis}" in err
+
+    @pytest.mark.parametrize(
+        "spec, reason",
+        [
+            ("0.1:inf:0.1", "non-finite"),
+            ("-inf:0.3:0.1", "non-finite"),
+            ("0.1:0.3:nan", "non-finite"),
+            ("0:1:1e-9", "point limit"),
+            ("0:1e308:1e-300", "point limit"),
+        ],
+    )
+    def test_grid_bounds(self, capsys, summary_file, monkeypatch, spec, reason):
+        import alphaindex.cli as cli
+
+        # a grid must be refused before any of its points is built
+        monkeypatch.setattr(cli, "round", lambda *a: pytest.fail("grid was built"), raising=False)
+        for flag in ("--beta-grid", "--k-grid"):
+            code, _, err = run(
+                capsys, "distfit", summary_file, "--analysis", "beta", f"{flag}={spec}", "--quiet"
+            )
+            assert code == 1
+            assert spec in err and reason in err
+
     def test_normality_per_group(self, capsys, summary_file):
         code, out, _ = run(capsys, "distfit", summary_file, "--analysis", "normality", "--format", "json")
         assert code == 0

@@ -216,6 +216,22 @@ class TestFileDispatch:
         assert read_dataset_file(long).dataset.groups[0].members[0].paper_citations == (4,)
         assert read_dataset_file(summary).dataset.groups[0].members[0].paper_citations is None
 
+    @pytest.mark.parametrize(
+        "text, reader, papers",
+        [
+            ("group_id,researcher_id,paper_id,citations\ng,r,p,4\n", read_long_form, (4,)),
+            ("group_id,researcher_id,h_index,total_citations\ng,r,2,9\n", read_summary_form, None),
+        ],
+        ids=["long", "summary"],
+    )
+    def test_utf8_bom_header(self, tmp_path, text, reader, papers):
+        # spreadsheet exports often start the file with a UTF-8 byte order mark
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        for report in (read_dataset_file(path), reader(path)):
+            assert report.ok, report.errors
+            assert report.dataset.groups[0].members[0].paper_citations == papers
+
     def test_unrecognized_header(self, tmp_path):
         path = tmp_path / "odd.csv"
         path.write_text("a,b,c\n1,2,3\n", encoding="utf-8")

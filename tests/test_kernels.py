@@ -1,41 +1,60 @@
-"""Subset-sampling kernel: backend parity and stream structure."""
+"""Subset-sampling kernel: parity with the reference loop and stream structure."""
+
+import json
 
 import numpy as np
 import pytest
+import subset_reference
 
 from alphaindex import _kernels
-from alphaindex._kernels import _subset_py
-
-try:
-    from alphaindex._kernels import _subset_ext
-except ImportError:  # pragma: no cover - build without a compiler
-    _subset_ext = None
-
-needs_ext = pytest.mark.skipif(_subset_ext is None, reason="compiled kernel not built")
+from alphaindex.cli import main
+from alphaindex.ranking import RankingConfig, rank
+from alphaindex.synth import synth_group
 
 
-@needs_ext
-def test_backends_bit_identical(rng):
-    for _ in range(300):
-        n = int(rng.integers(1, 60))
-        vals = [int(v) for v in rng.integers(0, 80, size=n)]
-        s = int(rng.integers(1, n + 1))
+def _random_case(rng, max_n):
+    n = int(rng.integers(1, max_n + 1))
+    vals = [int(v) for v in rng.integers(0, 80, size=n)]
+    s = int(rng.integers(1, n + 1))
+    seed = int(rng.integers(0, 2**64, dtype=np.uint64))
+    key = int(rng.integers(0, 16))
+    return vals, s, seed, key
+
+
+def test_matches_reference_loop(rng):
+    for _ in range(150):
+        vals, s, seed, key = _random_case(rng, 400)
         m = int(rng.integers(1, 40))
-        seed = int(rng.integers(0, 2**64, dtype=np.uint64))
-        key = int(rng.integers(0, 16))
-        assert _subset_py.subset_hindex_sum(vals, s, m, seed, key) == \
-            _subset_ext.subset_hindex_sum(vals, s, m, seed, key)
+        assert _kernels.subset_hindex_sum(vals, s, m, seed, key) == \
+            subset_reference.subset_hindex_sum(vals, s, m, seed, key)
+
+
+def test_chunking_does_not_change_the_sum(rng, monkeypatch):
+    # chunks of 1-7 samples, so 5-60 samples cross one or more boundaries
+    for _ in range(100):
+        vals, s, seed, key = _random_case(rng, 400)
+        m = int(rng.integers(5, 61))
+        monkeypatch.setattr(_kernels, "_MAX_CELLS", len(vals) * int(rng.integers(1, 8)))
+        assert _kernels.subset_hindex_sum(vals, s, m, seed, key) == \
+            subset_reference.subset_hindex_sum(vals, s, m, seed, key)
+
+
+def test_crosses_the_default_chunk_boundary(rng):
+    vals = [int(v) for v in rng.integers(0, 30, size=400)]
+    m = _kernels._MAX_CELLS // 400 + 7
+    assert _kernels.subset_hindex_sum(vals, 20, m, 2**64 - 1, 5) == \
+        subset_reference.subset_hindex_sum(vals, 20, m, 2**64 - 1, 5)
 
 
 def test_prefix_sum_consistency():
     # sample j depends only on (seed, key, j): totals are prefix sums
     vals = [9, 4, 4, 2, 1, 0, 7]
-    totals = [_subset_py.subset_hindex_sum(vals, 3, m, 12345, 2) for m in range(1, 30)]
+    totals = [_kernels.subset_hindex_sum(vals, 3, m, 12345, 2) for m in range(1, 30)]
     singles = np.diff([0] + totals)
     assert np.all(singles >= 0)
     assert np.all(singles <= 3)
     # recomputing any prefix reproduces the same partial totals
-    assert _subset_py.subset_hindex_sum(vals, 3, 10, 12345, 2) == totals[9]
+    assert _kernels.subset_hindex_sum(vals, 3, 10, 12345, 2) == totals[9]
 
 
 def test_streams_differ_by_seed_and_key():
@@ -61,7 +80,7 @@ def test_full_size_subset_is_exact():
         assert total == 50 * 3  # h-index of [7,3,3,1] is 3
 
 
-@pytest.mark.parametrize("impl", [_subset_py] + ([_subset_ext] if _subset_ext else []))
+@pytest.mark.parametrize("impl", [_kernels, subset_reference])
 def test_input_validation(impl):
     with pytest.raises(ValueError):
         impl.subset_hindex_sum([1, 2], 3, 10, 0, 0)
@@ -83,3 +102,43 @@ def test_uniformity_sanity():
     exact = np.mean([h_index(c) for c in combinations(vals, 3)])
     total = _kernels.subset_hindex_sum(vals, 3, 200_000, 31337, 0)
     assert total / 200_000 == pytest.approx(exact, abs=0.02)
+
+
+class TestHugeHIndex:
+    """A member h far beyond int64 samples exactly like one at the subset size."""
+
+    SMALL = [4, 1, 2]  # reference group: subsets have s = 3 members
+
+    def groups(self, top):
+        return [synth_group("big", [top, 5, 3, 2, 1, 0]), synth_group("small", self.SMALL)]
+
+    def test_kernel(self):
+        huge = [10**23, 5, 3, 2, 1, 0]
+        clipped = [3, 3, 3, 2, 1, 0]
+        assert _kernels.subset_hindex_sum(huge, 3, 500, 8, 0) == \
+            _kernels.subset_hindex_sum(clipped, 3, 500, 8, 0)
+
+    def test_rank(self):
+        config = RankingConfig(n_samples=500, seed=8)
+        huge = {r.group_id: r for r in rank(self.groups(10**23), config).rows}
+        at_s = {r.group_id: r for r in rank(self.groups(3), config).rows}
+        assert huge.keys() == at_s.keys()
+        for gid, row in huge.items():
+            assert row.relative_h_group == at_s[gid].relative_h_group
+
+    def test_cli(self, tmp_path, capsys):
+        def run(top):
+            path = tmp_path / f"top{top}.csv"
+            rows = [f"big,b{i},{h}," for i, h in enumerate([top, 5, 3, 2, 1, 0])]
+            rows += [f"small,s{i},{h}," for i, h in enumerate(self.SMALL)]
+            path.write_text(
+                "group_id,researcher_id,h_index,total_citations\n" + "\n".join(rows) + "\n",
+                encoding="utf-8",
+            )
+            code = main(["rank", str(path), "--samples", "500", "--seed", "8",
+                         "--format", "json", "--quiet"])
+            out = capsys.readouterr().out
+            assert code == 0
+            return {r["group_id"]: r["relative_h_group"] for r in json.loads(out)["rows"]}
+
+        assert run(10**23) == run(3)
