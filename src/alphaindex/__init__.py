@@ -13,6 +13,7 @@ from .distribution import (
     NormalityReport,
     PowerLawFit,
     StretchedExpFit,
+    bessel_i1,
     build_histogram,
     empirical_moment_ratio,
     fit_beta,
@@ -64,7 +65,6 @@ from .ranking import (
     rank_from_precomputed,
     relative_h_group,
 )
-from .special import bessel_i1
 from .synth import StretchedExpParams, sample_stretched_exp, synth_group
 
 __version__ = "0.1.0"

@@ -3,9 +3,14 @@
 Covers the statistical toolbox used around group ranking: the log-log
 citations-vs-h slope, stretched-exponential shape estimation (profile
 likelihood over a beta grid, or moment ratios), a Giddings peak-shape fit
-for h-index histograms, excess kurtosis and skewness, a Shapiro-Wilk
-normality test in Royston's extended form (3 <= n <= 5000), and histogram
+for h-index histograms on the modified Bessel function I1 of
+``scipy.special``, excess kurtosis and skewness, a Shapiro-Wilk normality
+test in Royston's extended form (3 <= n <= 5000), and histogram
 construction with linear or geometric bins.
+
+The Shapiro-Wilk test and the moments are written out here rather than
+taken from ``scipy.stats``: importing that module costs about half a
+second, which every command would pay at start-up.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import minimize
-from scipy.special import ndtri
+from scipy.special import i1, i1e, ndtri
 
 from .errors import (
     BinSpecError,
@@ -26,7 +31,6 @@ from .errors import (
     SampleSizeError,
     ZeroVarianceError,
 )
-from .special import bessel_i1_scaled
 
 # ---------------------------------------------------------------------------
 # histograms
@@ -74,7 +78,7 @@ def build_histogram(
     """
     if mode not in BINNING_MODES:
         raise BinSpecError(f"unknown binning mode {mode!r}")
-    xs = np.asarray(list(data), dtype=float)
+    xs = np.asarray(data, dtype=float)
     if xs.size == 0:
         raise BinSpecError("no data to bin")
     lo = float(xs.min())
@@ -193,7 +197,7 @@ def empirical_moment_ratio(k: float, data: Sequence[float]) -> float:
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    xs = np.asarray(list(data), dtype=float)
+    xs = np.asarray(data, dtype=float)
     if xs.size == 0:
         raise InsufficientDataError("moment ratio of an empty sample")
     if np.any(xs <= 0):
@@ -247,7 +251,7 @@ def fit_beta(
         raise ValueError(f"unknown objective {objective!r}; expected one of {BETA_OBJECTIVES}")
     if not log_residuals and objective != "moments":
         raise ValueError("log_residuals=False applies only to objective='moments'")
-    xs = np.asarray(list(data), dtype=float)
+    xs = np.asarray(data, dtype=float)
     if xs.size < 10:
         raise InsufficientDataError(f"shape fit needs n >= 10, got {xs.size}")
     if np.any(xs <= 0):
@@ -346,6 +350,32 @@ class GiddingsFit:
             raise ValueError(f"residual_ss must be non-negative, got {self.residual_ss}")
 
 
+_I1_OVERFLOW_GUARD = 700.0
+
+
+def bessel_i1(x: float) -> float:
+    """Modified Bessel function of the first kind, order 1 (``scipy.special.i1``).
+
+    Valid for 0 <= x <= 700; beyond that ``exp(x)`` leaves the double range
+    and ``OverflowError`` is raised.
+    """
+    if x < 0:
+        raise ValueError(f"bessel_i1 requires x >= 0, got {x}")
+    if x > _I1_OVERFLOW_GUARD:
+        raise OverflowError(f"bessel_i1 overflows for x > {_I1_OVERFLOW_GUARD}, got {x}")
+    return float(i1(x))
+
+
+def bessel_i1_scaled(x):
+    """``exp(-x) * I1(x)`` elementwise (``scipy.special.i1e``), stable for
+    arbitrarily large x >= 0; a float for scalar ``x``."""
+    x = np.asarray(x, dtype=float)
+    if np.any(x < 0):
+        raise ValueError(f"bessel_i1_scaled requires x >= 0, got {x[x < 0].min()}")
+    scaled = i1e(x)
+    return float(scaled) if scaled.ndim == 0 else scaled
+
+
 def giddings_eval(h: float, params: GiddingsFit) -> float:
     """Giddings peak shape at ``h > 0``:
 
@@ -357,19 +387,22 @@ def giddings_eval(h: float, params: GiddingsFit) -> float:
     """
     if h <= 0:
         raise ValueError(f"peak shape is defined for h > 0, got {h}")
-    return params.baseline + _giddings_peak(
-        h, params.amplitude, params.width, params.center
+    return float(
+        params.baseline + _giddings_peak(h, params.amplitude, params.width, params.center)
     )
 
 
-def _giddings_peak(h: float, amplitude: float, width: float, center: float) -> float:
-    arg = 2.0 * math.sqrt(center * h) / width
-    exponent = -((math.sqrt(h) - math.sqrt(center)) ** 2) / width
+def _giddings_peak(h, amplitude: float, width: float, center: float):
+    # h is a scalar or an array of bin centers; exp(-(h + center)/width) is
+    # split as exp(-arg) * exp(-(sqrt(h) - sqrt(center))^2 / width) so the
+    # first factor goes into the scaled Bessel function
+    arg = 2.0 * np.sqrt(center * h) / width
+    exponent = -((np.sqrt(h) - math.sqrt(center)) ** 2) / width
     return (
         (amplitude / width)
-        * math.sqrt(center / h)
+        * np.sqrt(center / h)
         * bessel_i1_scaled(arg)
-        * math.exp(exponent)
+        * np.exp(exponent)
     )
 
 
@@ -406,11 +439,7 @@ def fit_giddings(
         baseline, amplitude, width, center = theta * scale
         if amplitude <= 0 or width <= 0 or center <= 0:
             return 1e300
-        resid = (
-            baseline
-            + np.array([_giddings_peak(h, amplitude, width, center) for h in centers])
-            - counts
-        )
+        resid = baseline + _giddings_peak(centers, amplitude, width, center) - counts
         return float(resid @ resid)
 
     rng = np.random.default_rng(seed)
@@ -464,7 +493,7 @@ def kurtosis(data: Sequence[float]) -> float:
 
     Zero for a normal distribution; positive values flag heavy tails.
     """
-    xs = np.asarray(list(data), dtype=float)
+    xs = np.asarray(data, dtype=float)
     if xs.size < 2:
         raise ValueError(f"kurtosis needs n >= 2, got {xs.size}")
     m2 = _central_moment(xs, 2)
@@ -475,7 +504,7 @@ def kurtosis(data: Sequence[float]) -> float:
 
 def skewness(data: Sequence[float]) -> float:
     """Skewness, ``mu3 / mu2^1.5`` with population central moments."""
-    xs = np.asarray(list(data), dtype=float)
+    xs = np.asarray(data, dtype=float)
     if xs.size < 2:
         raise ValueError(f"skewness needs n >= 2, got {xs.size}")
     m2 = _central_moment(xs, 2)

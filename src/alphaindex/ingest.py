@@ -349,7 +349,7 @@ def read_dataset_file(path: str | os.PathLike, delimiter: str = ",") -> IngestRe
     path = Path(path)
     if path.suffix.lower() == ".json":
         try:
-            with open(path, encoding="utf-8") as fh:
+            with open(path, encoding="utf-8-sig") as fh:
                 document = json.load(fh)
         except json.JSONDecodeError as exc:
             return IngestReport(None, errors=(f"invalid JSON: {exc}",))

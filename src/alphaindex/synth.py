@@ -51,13 +51,21 @@ def sample_stretched_exp(
 
     Identical ``(params, n, seed)`` produce bit-identical samples.  With
     ``round_to_int`` the draws are rounded to integers so they can feed
-    h-index-based metrics, which expect integer values.
+    h-index-based metrics, which expect integer values.  ``ValueError`` is
+    raised when extreme parameters push a draw out of the positive doubles
+    (to infinity for tiny beta, to 0 for huge beta).
     """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     # clip away an exact 0 so every draw is strictly positive
     u = np.clip(rng.random(n), np.finfo(float).tiny, None)
-    x = params.scale * gammaincinv(1.0 / params.beta, u) ** (1.0 / params.beta)
+    with np.errstate(all="ignore"):
+        x = params.scale * gammaincinv(1.0 / params.beta, u) ** (1.0 / params.beta)
+    if not np.all(np.isfinite(x) & (x > 0)):
+        raise ValueError(
+            f"beta={params.beta} with scale={params.scale} gives draws that are "
+            "not finite positive doubles"
+        )
     if round_to_int:
         return np.rint(x).astype(int)
     return x

@@ -25,6 +25,7 @@ from alphaindex.distribution import (
     DEFAULT_BETA_GRID,
     GiddingsFit,
     Histogram,
+    bessel_i1,
     empirical_moment_ratio,
     fit_beta,
     fit_giddings,
@@ -43,7 +44,6 @@ from alphaindex.ranking import (
     rank_from_precomputed,
     relative_h_group,
 )
-from alphaindex.special import bessel_i1
 from alphaindex.synth import StretchedExpParams, sample_stretched_exp, synth_group
 
 from conftest import random_dataset, random_group

@@ -1,12 +1,16 @@
 """Command-line interface: outputs, exit codes, determinism, schemas."""
 
 import json
+import subprocess
+import sys
+import warnings
 from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
 
+import alphaindex
 from alphaindex.cli import main
 from alphaindex.ingest import write_dataset
 from alphaindex.model import Dataset
@@ -56,6 +60,18 @@ def summary_file(tmp_path):
         encoding="utf-8",
     )
     return path
+
+
+def test_import_does_not_load_scipy_stats():
+    # scipy.stats costs about half a second at start-up, paid by every command
+    src = str(Path(alphaindex.__file__).resolve().parent.parent)
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import alphaindex.cli; "
+        "print('scipy.stats' in sys.modules)"
+    )
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
 
 
 def run(capsys, *argv) -> tuple[int, str, str]:
@@ -456,6 +472,23 @@ class TestSynth:
     def test_bad_beta_is_domain_error(self, capsys):
         code, _, err = run(capsys, "synth", "--beta", "0", "--n", "10")
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--beta", "1e-3", "--n", "3"],  # draws overflow to inf
+            ["--beta", "1e308", "--n", "3"],  # draws underflow to 0
+            ["--beta", "1e-3", "--n", "3", "--round"],
+        ],
+        ids=["tiny-beta", "huge-beta", "tiny-beta-round"],
+    )
+    def test_extreme_beta_is_refused(self, capsys, argv):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "synth", *argv)
+        assert code == 1
+        assert out == ""
+        assert "beta=" in err and "scale=1.0" in err
 
 
 class TestValidateCommand:

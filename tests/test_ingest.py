@@ -197,6 +197,17 @@ class TestFileDispatch:
         assert report.ok
         assert report.dataset == dataset
 
+    def test_json_file_with_utf8_bom(self, tmp_path, rng):
+        dataset = random_dataset(rng)
+        text = json.dumps(write_dataset(dataset))
+        plain = tmp_path / "plain.json"
+        plain.write_text(text, encoding="utf-8")
+        bom = tmp_path / "bom.json"
+        bom.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        report = read_dataset_file(bom)
+        assert report.ok, report.errors
+        assert report.dataset == read_dataset_file(plain).dataset == dataset
+
     def test_invalid_json_reported(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json", encoding="utf-8")

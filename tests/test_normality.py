@@ -91,3 +91,27 @@ def test_large_sample_support(rng):
     for n in (207, 4999):
         report = shapiro_wilk(rng.standard_normal(n))
         assert report.normal_at_5pct
+
+
+ORACLE_SIZES = (3, 4, 5, 6, 7, 11, 12, 20, 207, 1000, 5000)
+ORACLE_SAMPLES = {
+    "normal": lambda rng, n: rng.normal(5.0, 2.0, n),
+    "gamma": lambda rng, n: rng.gamma(3.0, 7.0, n),
+    "rounded-gamma": lambda rng, n: np.rint(rng.gamma(3.0, 7.0, n)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(ORACLE_SAMPLES))
+def test_matches_scipy_stats(kind):
+    # scipy.stats is imported here only: importing it from the package would
+    # add about half a second to every command's start-up
+    from scipy import stats
+
+    for n in ORACLE_SIZES:
+        xs = ORACLE_SAMPLES[kind](np.random.default_rng(1000 + n), n)
+        report = shapiro_wilk(xs)
+        ref = stats.shapiro(xs)
+        assert abs(report.statistic - ref.statistic) < 1e-8, n
+        assert abs(report.p_value - ref.pvalue) < 1e-6, n
+        assert abs(report.kurtosis - stats.kurtosis(xs, bias=True)) < 1e-12, n
+        assert abs(report.skewness - stats.skew(xs, bias=True)) < 1e-12, n

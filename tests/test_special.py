@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from alphaindex.special import bessel_i1, bessel_i1_scaled
+from alphaindex.distribution import bessel_i1, bessel_i1_scaled
 
 
 def series_oracle(x: float) -> float:
@@ -82,3 +82,18 @@ def test_scaled_variant_consistent():
         assert bessel_i1_scaled(x) == pytest.approx(expected, rel=1e-10)
     # scaled form stays finite where the raw value would overflow
     assert bessel_i1_scaled(5000.0) > 0.0
+
+
+def test_scaled_variant_is_elementwise():
+    xs = np.array([0.0, 0.5, 5.0, 19.0, 21.0, 100.0, 650.0, 5000.0])
+    got = bessel_i1_scaled(xs)
+    assert isinstance(got, np.ndarray) and got.shape == xs.shape
+    assert isinstance(bessel_i1_scaled(5.0), float)
+    assert got.tolist() == [bessel_i1_scaled(float(x)) for x in xs]
+
+
+def test_scaled_variant_domain_guard_on_arrays():
+    with pytest.raises(ValueError):
+        bessel_i1_scaled(np.array([1.0, -0.1, 3.0]))
+    with pytest.raises(ValueError):
+        bessel_i1_scaled(-0.1)
