@@ -5,9 +5,12 @@ Subcommands: ``metrics``, ``rank``, ``lorenz``, ``psi``, ``distfit``,
 all randomness flows from ``--seed``.  Exit codes: 0 success, 1 domain or
 validation failure, 2 I/O failure.
 
-Plot-oriented commands emit, in ``table`` format, numeric columns under
-``#``-prefixed headers (one blank-line-separated block per group), directly
-consumable by plotting tools.
+Each command handler returns one :class:`Result` and never reads
+``--format``; :func:`_render` is the one renderer, with one branch per
+format (``table``, ``csv``, ``json``).  Plot-oriented commands emit, in
+``table`` format, numeric columns under ``#``-prefixed headers (one
+blank-line-separated block per group), directly consumable by plotting
+tools.
 """
 
 from __future__ import annotations
@@ -18,6 +21,8 @@ import io
 import json
 import math
 import sys
+from collections.abc import Iterable, Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,6 +39,27 @@ class CliError(Exception):
 # output plumbing
 
 
+@dataclass(frozen=True)
+class Result:
+    """What one command produced, in a form every output format can use.
+
+    ``doc`` is the ``json`` document (tuples render as arrays).
+    ``headers`` and ``rows`` (typed cells; ``rows`` may be a generator, as
+    it is read once) are the ``csv`` table: a float cell is written with
+    ``repr``, any other cell with ``str``.  ``comments`` head both ``csv`` and
+    ``table`` output as ``# `` lines.  The ``table`` body is ``text`` when
+    set; otherwise it is ``rows`` aligned under ``headers``, each cell
+    formatted with its column's entry in ``specs`` (default ``""``).
+    """
+
+    doc: object
+    headers: Sequence[str]
+    rows: Iterable[Sequence]
+    comments: tuple[str, ...] = ()
+    specs: tuple[str, ...] = ()
+    text: str | None = None
+
+
 def _fmt(value: float) -> str:
     """Full-precision, deterministic float rendering for csv/json-ish output."""
     return repr(float(value))
@@ -43,29 +69,46 @@ def _plot_num(value: float) -> str:
     return format(float(value), ".10g")
 
 
-def _render_table(headers: list[str], rows: list[list[str]]) -> str:
-    widths = [len(h) for h in headers]
-    for row in rows:
-        for i, cell in enumerate(row):
-            widths[i] = max(widths[i], len(cell))
-    lines = ["  ".join(h.ljust(w) for h, w in zip(headers, widths)).rstrip()]
-    for row in rows:
-        lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
+def _render(result: Result, fmt: str) -> str:
+    if fmt == "json":
+        return json.dumps(result.doc, indent=2) + "\n"
+    if fmt == "csv":
+        buf = io.StringIO()
+        buf.writelines(f"# {comment}\r\n" for comment in result.comments)
+        writer = csv.writer(buf)
+        writer.writerow(result.headers)
+        writer.writerows(
+            [_fmt(c) if isinstance(c, float) else c for c in row] for row in result.rows
+        )
+        return buf.getvalue()
+    head = "".join(f"# {comment}\n" for comment in result.comments)
+    if result.text is not None:
+        return head + result.text
+    specs = result.specs or ("",) * len(result.headers)
+    lines = [list(result.headers)]
+    lines += [[format(c, spec) for c, spec in zip(row, specs)] for row in result.rows]
+    widths = [max(len(line[i]) for line in lines) for i in range(len(specs))]
+    return head + "".join(
+        "  ".join(c.ljust(w) for c, w in zip(line, widths)).rstrip() + "\n" for line in lines
+    )
+
+
+def _record(doc: dict, **fields) -> Result:
+    """A one-row result whose columns are the document's keys."""
+    return Result(doc, list(doc), [list(doc.values())], **fields)
+
+
+def _groups_doc(headers: Sequence[str], rows) -> dict:
+    """``{"groups": [...]}``, one object per row keyed by ``group_id`` and the other headers."""
+    keys = ["group_id", *headers[1:]]
+    return {"groups": [dict(zip(keys, row)) for row in rows]}
+
+
+def _plot_columns(headers: Sequence[str], rows, cell=_plot_num) -> str:
+    """A ``# columns:`` line, then one space-separated line per row."""
+    lines = ["# columns: " + " ".join(headers)]
+    lines += [" ".join(cell(c) for c in row) for row in rows]
     return "\n".join(lines) + "\n"
-
-
-def _render_csv(headers: list[str], rows: list[list[str]], comments: tuple[str, ...] = ()) -> str:
-    buf = io.StringIO()
-    for comment in comments:
-        buf.write(f"# {comment}\r\n")
-    writer = csv.writer(buf)
-    writer.writerow(headers)
-    writer.writerows(rows)
-    return buf.getvalue()
-
-
-def _render_json(document) -> str:
-    return json.dumps(document, indent=2) + "\n"
 
 
 def _emit(args, text: str) -> None:
@@ -83,71 +126,53 @@ def _warn(args, message: str) -> None:
 
 def _warn_all(args, warnings) -> None:
     """Emit warnings, collapsing long runs so big datasets stay readable."""
-    if len(warnings) <= 5:
-        for warning in warnings:
-            _warn(args, warning)
-    else:
-        for warning in warnings[:3]:
-            _warn(args, warning)
-        _warn(args, f"... and {len(warnings) - 3} further warnings")
+    if len(warnings) > 5:
+        warnings = [*warnings[:3], f"... and {len(warnings) - 3} further warnings"]
+    for warning in warnings:
+        _warn(args, warning)
 
 
-def _load_dataset(args) -> Dataset:
+def _read_dataset(args, rejected: str) -> Dataset:
+    """Ingest ``args.input``, warn, and refuse it with ``rejected:`` and the errors."""
     delimiter = "\t" if args.tab else ","
     report = ingest.read_dataset_file(args.input, delimiter=delimiter)
     _warn_all(args, report.warnings)
     if not report.ok:
-        raise CliError("input rejected:\n  " + "\n  ".join(report.errors))
-    if not report.dataset.groups:
-        raise CliError("dataset has no groups")
+        raise CliError(f"{rejected}:\n  " + "\n  ".join(report.errors))
     return report.dataset
+
+
+def _load_dataset(args) -> Dataset:
+    dataset = _read_dataset(args, "input rejected")
+    if not dataset.groups:
+        raise CliError("dataset has no groups")
+    return dataset
 
 
 # ---------------------------------------------------------------------------
 # commands
 
 
-def _cmd_metrics(args) -> str:
+def _cmd_metrics(args) -> Result:
     dataset = _load_dataset(args)
     summaries = [(g.id, metrics.group_metrics(g)) for g in dataset.groups]
-    if args.format == "json":
-        return _render_json(
-            {
-                "groups": [
-                    {
-                        "group_id": gid,
-                        "n": m.n,
-                        "mean_h": m.mean_h,
-                        "stderr_h": m.stderr_h,
-                        "h_group": m.h_group,
-                        "gini": m.gini,
-                    }
-                    for gid, m in summaries
-                ]
-            }
-        )
     headers = ["group", "n", "mean_h", "stderr_h", "h_group", "gini"]
-    if args.format == "csv":
-        rows = [
-            [gid, str(m.n), _fmt(m.mean_h), _fmt(m.stderr_h), str(m.h_group), _fmt(m.gini)]
-            for gid, m in summaries
-        ]
-        return _render_csv(headers, rows)
-    rows = [
-        [gid, str(m.n), f"{m.mean_h:.4f}", f"{m.stderr_h:.4f}", str(m.h_group), f"{m.gini:.6f}"]
-        for gid, m in summaries
-    ]
-    return _render_table(headers, rows)
+    rows = [[gid, m.n, m.mean_h, m.stderr_h, m.h_group, m.gini] for gid, m in summaries]
+    return Result(
+        _groups_doc(headers, rows), headers, rows, specs=("", "", ".4f", ".4f", "", ".6f")
+    )
 
 
-def _cmd_rank(args) -> str:
+def _cmd_rank(args) -> Result:
     dataset = _load_dataset(args)
     if args.samples < 1:
         raise CliError(f"--samples must be positive, got {args.samples}")
     if args.seed < 0:
         raise CliError("--seed must be non-negative")
-    if args.gini_floor <= 0:
+    if not args.gini_floor > 0:
         raise CliError(f"--gini-floor must be positive, got {args.gini_floor}")
+    if math.isinf(args.gini_floor):
+        raise CliError("--gini-floor must be finite, got inf")
     config = ranking.RankingConfig(
         n_samples=args.samples,
         seed=args.seed,
@@ -157,91 +182,50 @@ def _cmd_rank(args) -> str:
     report = ranking.rank(dataset.groups, config)
     for gid in report.floored_group_ids:
         _warn(args, f"group {gid!r} gini below floor {report.gini_floor}; clamped")
-    if args.format == "json":
-        return _render_json(report.as_dict())
     provenance = (
         f"seed={report.seed} n_samples={report.n_samples} "
         f"reference={report.reference_group_id} (size {report.reference_size}) "
         f"gini_floor={report.gini_floor}"
     )
-    headers = ["rank", "group", "gini", "h_group", "relative_h_group", "alpha"]
-    if args.format == "csv":
-        rows = [
-            [str(r.rank), r.group_id, _fmt(r.gini), str(r.h_group), _fmt(r.relative_h_group), _fmt(r.alpha)]
-            for r in report.rows
-        ]
-        return _render_csv(headers, rows, comments=[provenance])
-    rows = [
-        [
-            str(r.rank),
-            r.group_id,
-            f"{r.gini:.4f}",
-            str(r.h_group),
-            f"{r.relative_h_group:.4f}",
-            f"{r.alpha:.5f}",
-        ]
-        for r in report.rows
-    ]
-    return f"# {provenance}\n" + _render_table(headers, rows)
+    return Result(
+        report.as_dict(),
+        ["rank", "group", "gini", "h_group", "relative_h_group", "alpha"],
+        [[r.rank, r.group_id, r.gini, r.h_group, r.relative_h_group, r.alpha] for r in report.rows],
+        comments=(provenance,),
+        specs=("", "", ".4f", "", ".4f", ".5f"),
+    )
 
 
-def _lorenz_points(group) -> list[tuple[float, float]]:
-    curve = metrics.lorenz_curve(group)
-    return [(0.0, 0.0), *curve.points]
-
-
-def _cmd_lorenz(args) -> str:
+def _cmd_lorenz(args) -> Result:
     dataset = _load_dataset(args)
-    series = [(g.id, _lorenz_points(g)) for g in dataset.groups]
+    series = [(g.id, [(0.0, 0.0), *metrics.lorenz_curve(g).points]) for g in dataset.groups]
     identity = [(0.0, 0.0), (1.0, 1.0)]
-    if args.format == "json":
-        return _render_json(
-            {
-                "groups": [
-                    {"group_id": gid, "points": [[f, phi] for f, phi in pts]}
-                    for gid, pts in series
-                ],
-                "identity": [[f, phi] for f, phi in identity],
-            }
-        )
-    if args.format == "csv":
-        rows = [
-            [gid, _fmt(f), _fmt(phi)] for gid, pts in series for f, phi in pts
-        ] + [["identity", _fmt(f), _fmt(phi)] for f, phi in identity]
-        return _render_csv(["group", "f", "phi"], rows)
+    doc = {
+        "groups": [{"group_id": gid, "points": pts} for gid, pts in series],
+        "identity": identity,
+    }
+    series.append(("identity", identity))
     blocks = ["# lorenz curve: columns f phi"]
-    for gid, pts in [*series, ("identity", identity)]:
-        lines = [f"# group: {gid}"]
-        lines += [f"{_plot_num(f)} {_plot_num(phi)}" for f, phi in pts]
-        blocks.append("\n".join(lines))
-    return "\n\n".join(blocks) + "\n"
+    blocks += [
+        "\n".join([f"# group: {gid}", *(f"{_plot_num(f)} {_plot_num(phi)}" for f, phi in pts)])
+        for gid, pts in series
+    ]
+    rows = ((gid, f, phi) for gid, pts in series for f, phi in pts)
+    return Result(doc, ["group", "f", "phi"], rows, text="\n\n".join(blocks) + "\n")
 
 
-def _cmd_psi(args) -> str:
+def _cmd_psi(args) -> Result:
     dataset = _load_dataset(args)
     series = [(g.id, metrics.psi_curve(g), metrics.h_group(g)) for g in dataset.groups]
-    if args.format == "json":
-        return _render_json(
-            {
-                "groups": [
-                    {"group_id": gid, "h_group": hg, "points": [[h, psi] for h, psi in pts]}
-                    for gid, pts, hg in series
-                ]
-            }
-        )
-    if args.format == "csv":
-        rows = [
-            [gid, str(h), str(psi), str(hg)]
-            for gid, pts, hg in series
-            for h, psi in pts
-        ]
-        return _render_csv(["group", "h", "psi", "h_group"], rows)
+    doc = {"groups": [{"group_id": gid, "h_group": hg, "points": pts} for gid, pts, hg in series]}
+    # exact integers in every format, so h = 10**23 keeps all its digits
     blocks = ["# member-count survival curve: columns h psi"]
-    for gid, pts, hg in series:
-        lines = [f"# group: {gid}", f"# h_group: {hg}"]
-        lines += [f"{h} {psi}" for h, psi in pts]
-        blocks.append("\n".join(lines))
-    return "\n\n".join(blocks) + "\n"
+    blocks += [
+        "\n".join([f"# group: {gid}", f"# h_group: {hg}", *(f"{h} {psi}" for h, psi in pts)])
+        for gid, pts, hg in series
+    ]
+    rows = ((gid, h, psi, hg) for gid, pts, hg in series for h, psi in pts)
+    return Result(doc, ["group", "h", "psi", "h_group"], rows, text="\n\n".join(blocks) + "\n")
 
 
 # -- distfit ----------------------------------------------------------------
@@ -268,13 +252,15 @@ def _parse_grid(spec: str) -> tuple[float, ...]:
             raise CliError(f"grid {spec!r} exceeds the {_MAX_GRID} point limit")
         return tuple(round(start + i * step, 12) for i in range(round(span) + 1))
     try:
-        return tuple(float(p) for p in spec.split(","))
+        grid = tuple(float(p) for p in spec.split(","))
     except ValueError:
         raise CliError(f"grid {spec!r} is not a comma list of numbers") from None
+    if not all(math.isfinite(v) for v in grid):
+        raise CliError(f"grid {spec!r} has a non-finite value")
+    return grid
 
 
-def _citation_values(args, dataset) -> list[float]:
-    """Pooled positive citation totals; missing totals abort, zeros are excluded."""
+def _require_totals(dataset, analysis: str) -> None:
     missing = [
         f"{g.id}/{m.id}"
         for g in dataset.groups
@@ -283,15 +269,24 @@ def _citation_values(args, dataset) -> list[float]:
     ]
     if missing:
         raise CliError(
-            "members without total_citations cannot join citation analyses: "
-            + ", ".join(missing)
+            f"members without total_citations cannot join {analysis}: " + ", ".join(missing)
         )
+
+
+def _citation_inputs(args, dataset):
+    """Pooled positive citation totals, then the beta and k grids.
+
+    Missing totals abort; zero totals are excluded with a warning.
+    """
+    _require_totals(dataset, "citation analyses")
     values = [m.total_citations for g in dataset.groups for m in g.members]
     positive = [float(v) for v in values if v > 0]
     excluded = len(values) - len(positive)
     if excluded:
         _warn(args, f"excluded {excluded} zero-citation member(s) from the fit")
-    return positive
+    beta_grid = _parse_grid(args.beta_grid) if args.beta_grid else distribution.DEFAULT_BETA_GRID
+    k_grid = _parse_grid(args.k_grid) if args.k_grid else distribution.DEFAULT_K_GRID
+    return positive, beta_grid, k_grid
 
 
 # distfit options that only some analyses read; any other analysis refuses them
@@ -303,7 +298,7 @@ _DISTFIT_OPTION_ANALYSES = {
 }
 
 
-def _cmd_distfit(args) -> str:
+def _cmd_distfit(args) -> Result:
     for attr, (flag, analyses) in _DISTFIT_OPTION_ANALYSES.items():
         if getattr(args, attr) not in (None, False) and args.analysis not in analyses:
             raise CliError(
@@ -321,42 +316,24 @@ def _cmd_distfit(args) -> str:
     return handler(args, dataset)
 
 
-def _distfit_slope(args, dataset) -> str:
-    missing = [
-        f"{g.id}/{m.id}"
-        for g in dataset.groups
-        for m in g.members
-        if m.total_citations is None
-    ]
-    if missing:
-        raise CliError(
-            "members without total_citations cannot join the slope fit: "
-            + ", ".join(missing)
-        )
+def _distfit_slope(args, dataset) -> Result:
+    _require_totals(dataset, "the slope fit")
     pairs = [(m.h_index, m.total_citations) for g in dataset.groups for m in g.members]
     fit = distribution.power_law_slope(pairs)
     if fit.points_dropped:
         _warn(args, f"dropped {fit.points_dropped} pair(s) with a zero h-index or citation count")
-    if args.format == "json":
-        return _render_json(
-            {
-                "slope": fit.slope,
-                "intercept": fit.intercept,
-                "points_used": fit.points_used,
-                "points_dropped": fit.points_dropped,
-            }
-        )
-    headers = ["slope", "intercept", "points_used", "points_dropped"]
-    row = [_fmt(fit.slope), _fmt(fit.intercept), str(fit.points_used), str(fit.points_dropped)]
-    if args.format == "csv":
-        return _render_csv(headers, [row])
-    return _render_table(headers, [row])
+    return _record(
+        {
+            "slope": fit.slope,
+            "intercept": fit.intercept,
+            "points_used": fit.points_used,
+            "points_dropped": fit.points_dropped,
+        }
+    )
 
 
-def _distfit_beta(args, dataset) -> str:
-    values = _citation_values(args, dataset)
-    beta_grid = _parse_grid(args.beta_grid) if args.beta_grid else distribution.DEFAULT_BETA_GRID
-    k_grid = _parse_grid(args.k_grid) if args.k_grid else distribution.DEFAULT_K_GRID
+def _distfit_beta(args, dataset) -> Result:
+    values, beta_grid, k_grid = _citation_inputs(args, dataset)
     if args.raw_objective and args.objective != "moments":
         raise CliError("--raw-objective applies only with --objective moments")
     try:
@@ -369,104 +346,59 @@ def _distfit_beta(args, dataset) -> str:
         )
     except ValueError as exc:
         raise CliError(str(exc)) from None
-    if args.format == "json":
-        return _render_json(
-            {
-                "beta": fit.beta,
-                "grid": list(fit.grid),
-                "objective_per_beta": list(fit.objective_per_beta),
-                "k_grid": list(fit.k_grid),
-            }
-        )
-    if args.format == "csv":
-        rows = [[_fmt(b), _fmt(o)] for b, o in zip(fit.grid, fit.objective_per_beta)]
-        return _render_csv(["beta", "objective"], rows, comments=[f"best beta: {fit.beta}"])
-    lines = [f"# best beta: {fit.beta}", "# columns: beta objective"]
-    lines += [f"{_plot_num(b)} {_plot_num(o)}" for b, o in zip(fit.grid, fit.objective_per_beta)]
-    return "\n".join(lines) + "\n"
+    doc = {
+        "beta": fit.beta,
+        "grid": list(fit.grid),
+        "objective_per_beta": list(fit.objective_per_beta),
+        "k_grid": list(fit.k_grid),
+    }
+    headers = ["beta", "objective"]
+    rows = list(zip(fit.grid, fit.objective_per_beta))
+    return Result(
+        doc,
+        headers,
+        rows,
+        comments=(f"best beta: {fit.beta}",),
+        text=_plot_columns(headers, rows),
+    )
 
 
-def _distfit_giddings(args, dataset) -> str:
+def _distfit_giddings(args, dataset) -> Result:
     hs = [m.h_index for g in dataset.groups for m in g.members]
     width_or_ratio = args.bin_ratio if args.binning == "geometric" else args.bin_width
     hist = distribution.build_histogram(hs, args.binning, width_or_ratio)
     fit = distribution.fit_giddings(hist)
-    doc = {
-        "baseline": fit.baseline,
-        "amplitude": fit.amplitude,
-        "width": fit.width,
-        "center": fit.center,
-        "residual_ss": fit.residual_ss,
-        "converged": fit.converged,
-        "bins": len(hist.counts),
-    }
-    if args.format == "json":
-        return _render_json(doc)
-    headers = list(doc)
-    row = [
-        _fmt(fit.baseline),
-        _fmt(fit.amplitude),
-        _fmt(fit.width),
-        _fmt(fit.center),
-        _fmt(fit.residual_ss),
-        str(fit.converged),
-        str(len(hist.counts)),
-    ]
-    if args.format == "csv":
-        return _render_csv(headers, [row])
-    return _render_table(headers, [row])
+    return _record(
+        {
+            "baseline": fit.baseline,
+            "amplitude": fit.amplitude,
+            "width": fit.width,
+            "center": fit.center,
+            "residual_ss": fit.residual_ss,
+            "converged": fit.converged,
+            "bins": len(hist.counts),
+        }
+    )
 
 
-def _distfit_normality(args, dataset) -> str:
-    reports = []
+def _distfit_normality(args, dataset) -> Result:
+    rows = []
     for g in dataset.groups:
         try:
-            reports.append((g.id, len(g.members), distribution.shapiro_wilk(g.h_values())))
+            r = distribution.shapiro_wilk(g.h_values())
         except AlphaIndexError as exc:
             raise CliError(f"group {g.id!r}: {exc}") from None
-    if args.format == "json":
-        return _render_json(
-            {
-                "groups": [
-                    {
-                        "group_id": gid,
-                        "n": n,
-                        "W": r.statistic,
-                        "p_value": r.p_value,
-                        "kurtosis": r.kurtosis,
-                        "skewness": r.skewness,
-                        "normal_at_5pct": r.normal_at_5pct,
-                    }
-                    for gid, n, r in reports
-                ]
-            }
+        rows.append(
+            [g.id, len(g.members), r.statistic, r.p_value, r.kurtosis, r.skewness, r.normal_at_5pct]
         )
     headers = ["group", "n", "W", "p_value", "kurtosis", "skewness", "normal_at_5pct"]
-    if args.format == "csv":
-        rows = [
-            [gid, str(n), _fmt(r.statistic), _fmt(r.p_value), _fmt(r.kurtosis), _fmt(r.skewness), str(r.normal_at_5pct)]
-            for gid, n, r in reports
-        ]
-        return _render_csv(headers, rows)
-    rows = [
-        [
-            gid,
-            str(n),
-            f"{r.statistic:.5f}",
-            f"{r.p_value:.5f}",
-            f"{r.kurtosis:.5f}",
-            f"{r.skewness:.5f}",
-            str(r.normal_at_5pct),
-        ]
-        for gid, n, r in reports
-    ]
-    return _render_table(headers, rows)
+    return Result(
+        _groups_doc(headers, rows), headers, rows, specs=("", "", *[".5f"] * 4, "")
+    )
 
 
-def _distfit_moments(args, dataset) -> str:
-    values = _citation_values(args, dataset)
-    beta_grid = _parse_grid(args.beta_grid) if args.beta_grid else distribution.DEFAULT_BETA_GRID
-    k_grid = _parse_grid(args.k_grid) if args.k_grid else distribution.DEFAULT_K_GRID
+def _distfit_moments(args, dataset) -> Result:
+    values, beta_grid, k_grid = _citation_inputs(args, dataset)
     try:
         empirical = [distribution.empirical_moment_ratio(k, values) for k in k_grid]
     except (ValueError, AlphaIndexError) as exc:
@@ -475,35 +407,23 @@ def _distfit_moments(args, dataset) -> str:
         beta: [distribution.theoretical_moment_ratio(k, beta) for k in k_grid]
         for beta in beta_grid
     }
-    if args.format == "json":
-        return _render_json(
-            {
-                "k_grid": list(k_grid),
-                "empirical": empirical,
-                "theoretical": {str(b): vals for b, vals in theoretical.items()},
-            }
-        )
+    doc = {
+        "k_grid": list(k_grid),
+        "empirical": empirical,
+        "theoretical": {str(b): vals for b, vals in theoretical.items()},
+    }
     headers = ["k", "R"] + [f"M_beta{b:g}" for b in beta_grid]
-    rows = []
-    for i, k in enumerate(k_grid):
-        rows.append(
-            [_fmt(k), _fmt(empirical[i])] + [_fmt(theoretical[b][i]) for b in beta_grid]
-        )
-    if args.format == "csv":
-        return _render_csv(headers, rows)
-    lines = ["# columns: " + " ".join(headers)]
-    for i, k in enumerate(k_grid):
-        cells = [_plot_num(k), _plot_num(empirical[i])]
-        cells += [_plot_num(theoretical[b][i]) for b in beta_grid]
-        lines.append(" ".join(cells))
-    return "\n".join(lines) + "\n"
+    rows = [
+        [k, empirical[i], *(theoretical[b][i] for b in beta_grid)] for i, k in enumerate(k_grid)
+    ]
+    return Result(doc, headers, rows, text=_plot_columns(headers, rows))
 
 
 # -- synth and validate -------------------------------------------------------
 
 
-def _cmd_synth(args) -> str:
-    if args.beta is None or args.beta <= 0:
+def _cmd_synth(args) -> Result:
+    if args.beta <= 0:
         raise CliError(f"--beta must be positive, got {args.beta}")
     if args.x0 <= 0:
         raise CliError(f"--x0 must be positive, got {args.x0}")
@@ -513,48 +433,27 @@ def _cmd_synth(args) -> str:
         raise CliError("--seed must be non-negative")
     params = synth.StretchedExpParams(beta=args.beta, scale=args.x0)
     rng = np.random.default_rng(args.seed)
-    samples = synth.sample_stretched_exp(params, args.n, rng, round_to_int=args.round)
+    samples = synth.sample_stretched_exp(params, args.n, rng, round_to_int=args.round).tolist()
 
     if args.round:
-        group = synth.synth_group(args.group_id, [int(v) for v in samples])
-        if args.format == "json":
-            return _render_json(ingest.write_dataset(Dataset((group,))))
-        headers = list(ingest.SUMMARY_FORM_HEADER)
-        rows = [[group.id, m.id, str(m.h_index), ""] for m in group.members]
-        if args.format == "csv":
-            return _render_csv(headers, rows)
-        return _render_table(headers, rows)
+        group = synth.synth_group(args.group_id, samples)
+        rows = [[group.id, m.id, m.h_index, ""] for m in group.members]
+        doc = ingest.write_dataset(Dataset((group,)))
+        return Result(doc, list(ingest.SUMMARY_FORM_HEADER), rows)
 
-    if args.format == "json":
-        return _render_json(
-            {
-                "beta": args.beta,
-                "x0": args.x0,
-                "n": args.n,
-                "seed": args.seed,
-                "samples": [float(v) for v in samples],
-            }
-        )
-    if args.format == "csv":
-        return _render_csv(["sample"], [[_fmt(v)] for v in samples])
-    return "# columns: sample\n" + "\n".join(_fmt(v) for v in samples) + "\n"
+    doc = {"beta": args.beta, "x0": args.x0, "n": args.n, "seed": args.seed, "samples": samples}
+    rows = [[v] for v in samples]
+    return Result(doc, ["sample"], rows, text=_plot_columns(["sample"], rows, cell=_fmt))
 
 
-def _cmd_validate(args) -> str:
-    delimiter = "\t" if args.tab else ","
-    report = ingest.read_dataset_file(args.input, delimiter=delimiter)
-    _warn_all(args, report.warnings)
-    if not report.ok:
-        raise CliError("invalid dataset:\n  " + "\n  ".join(report.errors))
-    dataset = report.dataset
+def _cmd_validate(args) -> Result:
+    dataset = _read_dataset(args, "invalid dataset")
+    n_groups = len(dataset.groups)
     n_members = sum(len(g.members) for g in dataset.groups)
-    if args.format == "json":
-        return _render_json(
-            {"valid": True, "groups": len(dataset.groups), "members": n_members}
-        )
-    if args.format == "csv":
-        return _render_csv(["valid", "groups", "members"], [["True", str(len(dataset.groups)), str(n_members)]])
-    return f"dataset valid: {len(dataset.groups)} group(s), {n_members} member(s)\n"
+    return _record(
+        {"valid": True, "groups": n_groups, "members": n_members},
+        text=f"dataset valid: {n_groups} group(s), {n_members} member(s)\n",
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -634,7 +533,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        text = args.handler(args)
+        text = _render(args.handler(args), args.format)
     except (CliError, AlphaIndexError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -140,8 +140,9 @@ def power_law_slope(pairs: Sequence[tuple[int, int]]) -> PowerLawFit:
         raise InsufficientDataError(
             f"log-log fit needs at least 2 usable pairs, got {len(usable)}"
         )
-    log_h = np.log([h for h, _ in usable])
-    log_x = np.log([x for _, x in usable])
+    # float arrays: counts past 2**63 would otherwise give object arrays
+    log_h = np.log(np.array([h for h, _ in usable], dtype=float))
+    log_x = np.log(np.array([x for _, x in usable], dtype=float))
     dh = log_h - log_h.mean()
     denom = float(dh @ dh)
     if denom == 0.0:

@@ -5,7 +5,8 @@ both ways: *long form* with one row per paper (h-indexes are then computed
 here) and *summary form* with one row per researcher.  A JSON document
 format round-trips datasets losslessly.  Parsers never raise on bad content;
 every problem is collected into the returned :class:`IngestReport` with its
-row number or document path.
+row number or document path.  A count above :data:`model.MAX_COUNT` is such a
+problem.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .metrics import h_index
-from .model import Dataset, Group, ResearcherProfile, validate
+from .model import MAX_COUNT, Dataset, Group, ResearcherProfile, validate
 
 LONG_FORM_HEADER = ("group_id", "researcher_id", "paper_id", "citations")
 SUMMARY_FORM_HEADER = ("group_id", "researcher_id", "h_index", "total_citations")
@@ -81,25 +82,21 @@ def read_long_form(source, delimiter: str = ",") -> IngestReport:
         return IngestReport(None, errors=tuple(errors))
 
     n_rows = 0
+    g_col, r_col, p_col, c_col = (columns[name] for name in LONG_FORM_HEADER)
     for lineno, row in enumerate(rows, start=2):
         n_rows += 1
         if len(row) != len(LONG_FORM_HEADER):
             errors.append(f"row {lineno}: expected {len(LONG_FORM_HEADER)} fields, got {len(row)}")
             continue
-        gid = row[columns["group_id"]].strip()
-        rid = row[columns["researcher_id"]].strip()
-        pid = row[columns["paper_id"]].strip()
-        raw = row[columns["citations"]].strip()
+        gid = row[g_col].strip()
+        rid = row[r_col].strip()
+        pid = row[p_col].strip()
+        raw = row[c_col].strip()
         if not gid or not rid or not pid:
             errors.append(f"row {lineno}: blank group_id, researcher_id, or paper_id")
             continue
-        try:
-            cites = int(raw)
-        except ValueError:
-            errors.append(f"row {lineno}: citations {raw!r} is not an integer")
-            continue
-        if cites < 0:
-            errors.append(f"row {lineno}: negative citations {cites}")
+        cites = _parse_count(raw, "citations", lineno, errors)
+        if cites is None:
             continue
         if (gid, rid, pid) in seen_papers:
             errors.append(f"row {lineno}: duplicate paper {pid!r} for {rid!r} in {gid!r}")
@@ -114,16 +111,40 @@ def read_long_form(source, delimiter: str = ",") -> IngestReport:
 
     groups: dict[str, list[ResearcherProfile]] = {}
     for (gid, rid), cites in papers.items():
+        total = sum(cites)
+        if total > MAX_COUNT:
+            errors.append(f"{rid!r} in {gid!r}: total citations exceed the ceiling 10**50")
+            continue
         groups.setdefault(gid, []).append(
             ResearcherProfile(
                 id=rid,
                 h_index=h_index(cites),
-                total_citations=sum(cites),
+                total_citations=total,
                 paper_citations=tuple(cites),
             )
         )
+    if errors:
+        return IngestReport(None, warnings=tuple(warnings), errors=tuple(errors))
     dataset = Dataset(tuple(Group(id=gid, members=tuple(ms)) for gid, ms in groups.items()))
     return IngestReport(dataset, warnings=tuple(warnings))
+
+
+def _parse_count(raw: str, column: str, lineno: int, errors: list[str]) -> int | None:
+    """``raw`` as a count in ``[0, MAX_COUNT]``; None after recording why not."""
+    try:
+        value = int(raw)
+    except ValueError:
+        if not raw.isdigit():
+            errors.append(f"row {lineno}: {column} {raw!r} is not an integer")
+            return None
+        value = MAX_COUNT + 1  # too many digits for int(), so past the ceiling
+    if value < 0:
+        errors.append(f"row {lineno}: negative {column} {value}")
+        return None
+    if value > MAX_COUNT:
+        errors.append(f"row {lineno}: {column} exceeds the ceiling 10**50")
+        return None
+    return value
 
 
 def read_summary_form(source, delimiter: str = ",") -> IngestReport:
@@ -146,35 +167,26 @@ def read_summary_form(source, delimiter: str = ",") -> IngestReport:
         return IngestReport(None, errors=tuple(errors))
 
     n_rows = 0
+    g_col, r_col, h_col, t_col = (columns[name] for name in SUMMARY_FORM_HEADER)
     for lineno, row in enumerate(rows, start=2):
         n_rows += 1
         if len(row) != len(SUMMARY_FORM_HEADER):
             errors.append(f"row {lineno}: expected {len(SUMMARY_FORM_HEADER)} fields, got {len(row)}")
             continue
-        gid = row[columns["group_id"]].strip()
-        rid = row[columns["researcher_id"]].strip()
-        h_raw = row[columns["h_index"]].strip()
-        total_raw = row[columns["total_citations"]].strip()
+        gid = row[g_col].strip()
+        rid = row[r_col].strip()
+        h_raw = row[h_col].strip()
+        total_raw = row[t_col].strip()
         if not gid or not rid:
             errors.append(f"row {lineno}: blank group_id or researcher_id")
             continue
-        try:
-            h = int(h_raw)
-        except ValueError:
-            errors.append(f"row {lineno}: h_index {h_raw!r} is not an integer")
-            continue
-        if h < 0:
-            errors.append(f"row {lineno}: negative h_index {h}")
+        h = _parse_count(h_raw, "h_index", lineno, errors)
+        if h is None:
             continue
         total: int | None = None
         if total_raw:
-            try:
-                total = int(total_raw)
-            except ValueError:
-                errors.append(f"row {lineno}: total_citations {total_raw!r} is not an integer")
-                continue
-            if total < 0:
-                errors.append(f"row {lineno}: negative total_citations {total}")
+            total = _parse_count(total_raw, "total_citations", lineno, errors)
+            if total is None:
                 continue
             if h > total:
                 errors.append(
@@ -314,17 +326,17 @@ def _parse_member(raw, path: str, errors: list[str]) -> ResearcherProfile | None
     if "id" not in raw or not isinstance(raw["id"], str) or not raw["id"]:
         errors.append(f"{path}: missing or invalid 'id'")
         return None
-    if "h_index" not in raw or not _is_int(raw["h_index"]) or raw["h_index"] < 0:
-        errors.append(f"{path}.h_index: expected a non-negative integer")
+    if "h_index" not in raw or not _is_count(raw["h_index"]):
+        errors.append(f"{path}.h_index: expected an integer in [0, 10**50]")
         return None
     total = raw.get("total_citations")
-    if total is not None and (not _is_int(total) or total < 0):
-        errors.append(f"{path}.total_citations: expected a non-negative integer")
+    if total is not None and not _is_count(total):
+        errors.append(f"{path}.total_citations: expected an integer in [0, 10**50]")
         return None
     papers = raw.get("paper_citations")
     if papers is not None:
-        if not isinstance(papers, list) or not all(_is_int(c) and c >= 0 for c in papers):
-            errors.append(f"{path}.paper_citations: expected a list of non-negative integers")
+        if not isinstance(papers, list) or not all(_is_count(c) for c in papers):
+            errors.append(f"{path}.paper_citations: expected a list of integers in [0, 10**50]")
             return None
         papers = tuple(papers)
     return ResearcherProfile(
@@ -332,8 +344,8 @@ def _parse_member(raw, path: str, errors: list[str]) -> ResearcherProfile | None
     )
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+def _is_count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and 0 <= value <= MAX_COUNT
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +363,7 @@ def read_dataset_file(path: str | os.PathLike, delimiter: str = ",") -> IngestRe
         try:
             with open(path, encoding="utf-8-sig") as fh:
                 document = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # also integers past Python's digit limit
             return IngestReport(None, errors=(f"invalid JSON: {exc}",))
         return read_dataset(document)
 

@@ -54,14 +54,6 @@ class LorenzCurve:
 
     points: tuple[tuple[float, float], ...]
 
-    @property
-    def fractions(self) -> tuple[float, ...]:
-        return tuple(f for f, _ in self.points)
-
-    @property
-    def shares(self) -> tuple[float, ...]:
-        return tuple(phi for _, phi in self.points)
-
 
 def lorenz_curve(group: Group) -> LorenzCurve:
     """Cumulative h-share over members sorted by ascending h-index.
@@ -144,7 +136,6 @@ class GroupMetrics:
     stderr_h: float
     h_group: int
     gini: float
-    lorenz: LorenzCurve
 
 
 def group_metrics(group: Group) -> GroupMetrics:
@@ -156,5 +147,4 @@ def group_metrics(group: Group) -> GroupMetrics:
         stderr_h=stderr,
         h_group=h_group(group),
         gini=gini(group),
-        lorenz=lorenz_curve(group),
     )

@@ -11,6 +11,11 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 
+#: Ceiling on every count: ``h_index``, ``total_citations`` and per-paper
+#: citations.  Below it every float stage stays finite: squares and fourth
+#: powers of deviations (variance, kurtosis), moment ratios up to k = 3.
+MAX_COUNT = 10**50
+
 
 @dataclass(frozen=True)
 class ResearcherProfile:
@@ -34,10 +39,14 @@ class ResearcherProfile:
             raise ValueError(f"{self.id}: h_index must be non-negative")
         if self.total_citations is not None and self.total_citations < 0:
             raise ValueError(f"{self.id}: total_citations must be non-negative")
+        if self.h_index > MAX_COUNT or (self.total_citations or 0) > MAX_COUNT:
+            raise ValueError(f"{self.id}: counts must not exceed 10**50")
         if self.paper_citations is not None:
-            papers = tuple(int(c) for c in self.paper_citations)
-            if any(c < 0 for c in papers):
+            papers = tuple(map(int, self.paper_citations))
+            if min(papers, default=0) < 0:
                 raise ValueError(f"{self.id}: paper citation counts must be non-negative")
+            if max(papers, default=0) > MAX_COUNT:
+                raise ValueError(f"{self.id}: counts must not exceed 10**50")
             object.__setattr__(self, "paper_citations", papers)
 
 

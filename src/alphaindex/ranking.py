@@ -15,6 +15,7 @@ sampling kernel batches the samples.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
@@ -47,8 +48,8 @@ class RankingConfig:
             raise ValueError("seed must fit in 64 unsigned bits")
         if self.reference_size is not None and self.reference_size < 1:
             raise ValueError(f"reference_size must be positive, got {self.reference_size}")
-        if not self.gini_floor > 0:
-            raise ValueError(f"gini_floor must be positive, got {self.gini_floor}")
+        if not 0 < self.gini_floor < math.inf:
+            raise ValueError(f"gini_floor must be positive and finite, got {self.gini_floor}")
 
 
 @dataclass(frozen=True)

@@ -194,6 +194,13 @@ class TestRank:
         code, _, err = run(capsys, "rank", path)
         assert code == 1
 
+    @pytest.mark.parametrize("floor", ["0", "-1", "nan", "inf"])
+    def test_bad_gini_floor_is_domain_error(self, capsys, two_group_file, floor):
+        code, out, err = run(capsys, "rank", two_group_file, "--gini-floor", floor)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: --gini-floor must be")
+
     def test_csv_format_carries_provenance_comment(self, capsys, two_group_file):
         code, out, _ = run(capsys, "rank", two_group_file, "--seed", "4", "--format", "csv")
         assert code == 0
@@ -386,6 +393,8 @@ class TestDistfit:
             ("0.1:0.3:nan", "non-finite"),
             ("0:1:1e-9", "point limit"),
             ("0:1e308:1e-300", "point limit"),
+            ("0.2,nan", "non-finite"),
+            ("0.2,inf", "non-finite"),
         ],
     )
     def test_grid_bounds(self, capsys, summary_file, monkeypatch, spec, reason):
@@ -536,3 +545,67 @@ class TestOutputDestination:
         assert "warning" in err_loud
         _, _, err_quiet = run(capsys, "metrics", path, "--quiet")
         assert "warning" not in err_quiet
+
+
+# count as decimal text, and whether ingest must refuse it
+EXTREME_COUNTS = {
+    "1e23": ("1" + "0" * 23, False),
+    "ceiling": ("1" + "0" * 50, False),
+    "ceiling+1": ("1" + "0" * 49 + "1", True),
+    "5000-digits": ("9" * 5000, True),
+}
+COMMANDS = [
+    ["metrics"],
+    ["rank"],
+    ["lorenz"],
+    ["psi"],
+    ["validate"],
+    *(["distfit", "--analysis", a] for a in ("slope", "beta", "giddings", "normality", "moments")),
+]
+
+
+def _extreme_dataset(tmp_path, form: str, count: str):
+    # written as text: Python will not convert a 5000-digit int to a string
+    members = [("big", count, count), ("big", 4, 30), ("big", 7, 90), ("big", 2, 5),
+               ("big", 5, 40), ("big", 6, 61), ("small", 3, 20), ("small", 5, 44),
+               ("small", 6, 70), ("small", 4, 33), ("small", 8, 100), ("small", 2, 9)]
+    if form == "csv":
+        path = tmp_path / "extreme.csv"
+        lines = ["group_id,researcher_id,h_index,total_citations"]
+        lines += [f"{g},r{i},{h},{t}" for i, (g, h, t) in enumerate(members)]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        return path
+    groups = []
+    for gid in ("big", "small"):
+        docs = [
+            f'{{"id": "r{i}", "h_index": {h}, "total_citations": {t}}}'
+            for i, (g, h, t) in enumerate(members)
+            if g == gid
+        ]
+        groups.append(f'{{"id": "{gid}", "members": [{", ".join(docs)}]}}')
+    path = tmp_path / "extreme.json"
+    path.write_text(f'{{"groups": [{", ".join(groups)}]}}', encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("count", list(EXTREME_COUNTS.values()), ids=list(EXTREME_COUNTS))
+@pytest.mark.parametrize("form", ["json", "csv"])
+@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+@pytest.mark.parametrize("command", COMMANDS, ids=lambda c: c[-1])
+def test_extreme_counts_exit_cleanly(capsys, tmp_path, command, fmt, form, count):
+    # every run ends in exit 0 with finite output, or in exit 1 with a reason;
+    # an escaping exception or a numpy overflow warning fails the test
+    text, refused = count
+    path = _extreme_dataset(tmp_path, form, text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, command[0], path, *command[1:], "--format", fmt, "--quiet")
+    assert code in (0, 1), err
+    assert "Traceback" not in err
+    if code == 1:
+        assert err.startswith("error:"), err
+        assert out == ""
+    elif fmt == "json":
+        json.loads(out, parse_constant=lambda c: pytest.fail(f"non-finite {c} in output"))
+    if refused:
+        assert code == 1 and ("10**50" in err or "4300 digits" in err), err

@@ -188,6 +188,45 @@ class TestJsonDocuments:
         assert not read_dataset(doc).ok
 
 
+class TestCountCeiling:
+    def test_long_form_citations_and_their_sum(self):
+        head = "group_id,researcher_id,paper_id,citations\n"
+        assert read_long_form(rows(head + f"g,r,p1,{10**50}\n")).ok
+        report = read_long_form(rows(head + f"g,r,p1,{10**50 + 1}\n"))
+        assert report.errors == ("row 2: citations exceeds the ceiling 10**50",)
+        report = read_long_form(rows(head + f"g,r,p1,{10**50}\ng,r,p2,1\n"))
+        assert report.errors == ("'r' in 'g': total citations exceed the ceiling 10**50",)
+
+    @pytest.mark.parametrize(
+        "row, error",
+        [
+            (f"g,r,{10**50 + 1},", "row 2: h_index exceeds the ceiling 10**50"),
+            (f"g,r,3,{10**50 + 1}", "row 2: total_citations exceeds the ceiling 10**50"),
+            ("g,r," + "9" * 5000 + ",", "row 2: h_index exceeds the ceiling 10**50"),
+        ],
+        ids=["h_index", "total_citations", "5000-digits"],
+    )
+    def test_summary_form(self, row, error):
+        head = "group_id,researcher_id,h_index,total_citations\n"
+        assert read_summary_form(rows(head + f"g,r,{10**50},{10**50}\n")).ok
+        assert read_summary_form(rows(head + row + "\n")).errors == (error,)
+
+    @pytest.mark.parametrize(
+        "member, key",
+        [
+            ({"h_index": 10**50 + 1}, "h_index"),
+            ({"h_index": 1, "total_citations": 10**50 + 1}, "total_citations"),
+            ({"h_index": 1, "paper_citations": [10**50 + 1]}, "paper_citations"),
+        ],
+    )
+    def test_json_document(self, member, key):
+        doc = {"groups": [{"id": "g", "members": [{"id": "r", **member}]}]}
+        report = read_dataset(doc)
+        assert not report.ok
+        assert report.errors[0].startswith(f"groups[0].members[0].{key}:")
+        assert "10**50" in report.errors[0]
+
+
 class TestFileDispatch:
     def test_json_file(self, tmp_path, rng):
         dataset = random_dataset(rng)

@@ -28,6 +28,16 @@ class TestConstruction:
         with pytest.raises(ValueError):
             ResearcherProfile(id="r", h_index=1, paper_citations=(3, -1))
 
+    def test_counts_above_ceiling_rejected(self):
+        ResearcherProfile(id="r", h_index=1, total_citations=10**50, paper_citations=(10**50,))
+        for fields in (
+            {"h_index": 10**50 + 1},
+            {"h_index": 1, "total_citations": 10**50 + 1},
+            {"h_index": 1, "paper_citations": (10**50 + 1,)},
+        ):
+            with pytest.raises(ValueError, match="10\\*\\*50"):
+                ResearcherProfile(id="r", **fields)
+
     def test_blank_ids_rejected(self):
         with pytest.raises(ValueError):
             ResearcherProfile(id="", h_index=1)

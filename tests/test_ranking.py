@@ -141,6 +141,21 @@ class TestRank:
         with pytest.raises(SampleTooLargeError):
             rank(groups, RankingConfig(reference_size=3))
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("n_samples", 0),
+            ("seed", -1),
+            ("reference_size", 0),
+            ("gini_floor", 0.0),
+            ("gini_floor", float("nan")),
+            ("gini_floor", float("inf")),
+        ],
+    )
+    def test_config_validation(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            RankingConfig(**{field: value})
+
     def test_gini_floor_reported(self):
         groups = [synth_group("flat", [4, 4, 4]), synth_group("mixed", [9, 3, 1])]
         report = rank(groups, RankingConfig(n_samples=200, seed=2))
