@@ -46,8 +46,14 @@ def _open_rows(source, delimiter: str):
         yield from csv.reader(source, delimiter=delimiter)
 
 
-def _check_header(row, expected, errors) -> dict[str, int] | None:
-    names = [c.strip() for c in row]
+def _read_header(source, delimiter: str, expected, errors: list[str]):
+    """Rows of ``source`` past its header, and the index of each ``expected`` column."""
+    rows = iter(_open_rows(source, delimiter))
+    header = next(rows, None)
+    if header is None:
+        errors.append("no rows")
+        return rows, None
+    names = [c.strip() for c in header]
     unknown = [c for c in names if c not in expected]
     missing = [c for c in expected if c not in names]
     dupes = [c for c in set(names) if names.count(c) > 1]
@@ -58,8 +64,16 @@ def _check_header(row, expected, errors) -> dict[str, int] | None:
     if dupes:
         errors.append(f"row 1: duplicated column(s) {sorted(dupes)}")
     if unknown or missing or dupes:
-        return None
-    return {name: names.index(name) for name in expected}
+        return rows, None
+    return rows, [names.index(name) for name in expected]
+
+
+def _report(errors: list[str], groups: dict[str, list], warnings: tuple | list = ()) -> IngestReport:
+    """No dataset if anything went wrong, else one group per ``groups`` entry."""
+    if errors:
+        return IngestReport(None, warnings=tuple(warnings), errors=tuple(errors))
+    dataset = Dataset(tuple(Group(id=gid, members=tuple(ms)) for gid, ms in groups.items()))
+    return IngestReport(dataset, warnings=tuple(warnings))
 
 
 def read_long_form(source, delimiter: str = ",") -> IngestReport:
@@ -69,22 +83,17 @@ def read_long_form(source, delimiter: str = ",") -> IngestReport:
     each member's h-index and citation total are computed from its papers.
     """
     errors: list[str] = []
-    warnings: list[str] = []
     papers: dict[tuple[str, str], list[int]] = {}
     seen_papers: set[tuple[str, str, str]] = set()
+    groups: dict[str, list[ResearcherProfile]] = {}
 
-    rows = iter(_open_rows(source, delimiter))
-    header = next(rows, None)
-    if header is None:
-        return IngestReport(None, errors=("no rows",))
-    columns = _check_header(header, LONG_FORM_HEADER, errors)
+    rows, columns = _read_header(source, delimiter, LONG_FORM_HEADER, errors)
     if columns is None:
-        return IngestReport(None, errors=tuple(errors))
+        return _report(errors, groups)
 
-    n_rows = 0
-    g_col, r_col, p_col, c_col = (columns[name] for name in LONG_FORM_HEADER)
+    g_col, r_col, p_col, c_col = columns
+    lineno = 1
     for lineno, row in enumerate(rows, start=2):
-        n_rows += 1
         if len(row) != len(LONG_FORM_HEADER):
             errors.append(f"row {lineno}: expected {len(LONG_FORM_HEADER)} fields, got {len(row)}")
             continue
@@ -104,12 +113,11 @@ def read_long_form(source, delimiter: str = ",") -> IngestReport:
         seen_papers.add((gid, rid, pid))
         papers.setdefault((gid, rid), []).append(cites)
 
-    if n_rows == 0:
+    if lineno == 1:
         errors.append("no data rows")
     if errors:
-        return IngestReport(None, warnings=tuple(warnings), errors=tuple(errors))
+        return _report(errors, groups)
 
-    groups: dict[str, list[ResearcherProfile]] = {}
     for (gid, rid), cites in papers.items():
         total = sum(cites)
         if total > MAX_COUNT:
@@ -123,10 +131,7 @@ def read_long_form(source, delimiter: str = ",") -> IngestReport:
                 paper_citations=tuple(cites),
             )
         )
-    if errors:
-        return IngestReport(None, warnings=tuple(warnings), errors=tuple(errors))
-    dataset = Dataset(tuple(Group(id=gid, members=tuple(ms)) for gid, ms in groups.items()))
-    return IngestReport(dataset, warnings=tuple(warnings))
+    return _report(errors, groups)
 
 
 def _parse_count(raw: str, column: str, lineno: int, errors: list[str]) -> int | None:
@@ -158,18 +163,13 @@ def read_summary_form(source, delimiter: str = ",") -> IngestReport:
     members: dict[str, list[ResearcherProfile]] = {}
     seen: set[tuple[str, str]] = set()
 
-    rows = iter(_open_rows(source, delimiter))
-    header = next(rows, None)
-    if header is None:
-        return IngestReport(None, errors=("no rows",))
-    columns = _check_header(header, SUMMARY_FORM_HEADER, errors)
+    rows, columns = _read_header(source, delimiter, SUMMARY_FORM_HEADER, errors)
     if columns is None:
-        return IngestReport(None, errors=tuple(errors))
+        return _report(errors, members, warnings)
 
-    n_rows = 0
-    g_col, r_col, h_col, t_col = (columns[name] for name in SUMMARY_FORM_HEADER)
+    g_col, r_col, h_col, t_col = columns
+    lineno = 1
     for lineno, row in enumerate(rows, start=2):
-        n_rows += 1
         if len(row) != len(SUMMARY_FORM_HEADER):
             errors.append(f"row {lineno}: expected {len(SUMMARY_FORM_HEADER)} fields, got {len(row)}")
             continue
@@ -206,12 +206,9 @@ def read_summary_form(source, delimiter: str = ",") -> IngestReport:
             ResearcherProfile(id=rid, h_index=h, total_citations=total)
         )
 
-    if n_rows == 0:
+    if lineno == 1:
         errors.append("no data rows")
-    if errors:
-        return IngestReport(None, warnings=tuple(warnings), errors=tuple(errors))
-    dataset = Dataset(tuple(Group(id=gid, members=tuple(ms)) for gid, ms in members.items()))
-    return IngestReport(dataset, warnings=tuple(warnings))
+    return _report(errors, members, warnings)
 
 
 # ---------------------------------------------------------------------------
@@ -260,13 +257,8 @@ def read_dataset(document: dict) -> IngestReport:
         errors.append("groups: expected a list")
         return IngestReport(None, errors=tuple(errors))
 
-    groups = []
-    for gi, raw in enumerate(raw_groups):
-        path = f"groups[{gi}]"
-        group = _parse_group(raw, path, errors)
-        if group is not None:
-            groups.append(group)
-    if errors:
+    groups = [_parse_group(raw, f"groups[{gi}]", errors) for gi, raw in enumerate(raw_groups)]
+    if errors:  # a group that did not parse recorded why
         return IngestReport(None, errors=tuple(errors))
 
     dataset = Dataset(tuple(groups))
@@ -277,15 +269,7 @@ def read_dataset(document: dict) -> IngestReport:
 
 
 def _parse_group(raw, path: str, errors: list[str]) -> Group | None:
-    if not isinstance(raw, dict):
-        errors.append(f"{path}: expected an object")
-        return None
-    unknown = set(raw) - _GROUP_KEYS
-    if unknown:
-        errors.append(f"{path}: unknown key(s) {sorted(unknown)}")
-        return None
-    if "id" not in raw or not isinstance(raw["id"], str) or not raw["id"]:
-        errors.append(f"{path}: missing or invalid 'id'")
+    if not _is_entry(raw, _GROUP_KEYS, path, errors):
         return None
     if "members" not in raw:
         errors.append(f"{path}: missing 'members'")
@@ -293,38 +277,21 @@ def _parse_group(raw, path: str, errors: list[str]) -> Group | None:
     if not isinstance(raw["members"], list) or not raw["members"]:
         errors.append(f"{path}.members: expected a non-empty list")
         return None
-    label = raw.get("label")
-    if label is not None and not isinstance(label, str):
-        errors.append(f"{path}.label: expected a string")
-        return None
-    tag = raw.get("quality_tag")
-    if tag is not None and not isinstance(tag, str):
-        errors.append(f"{path}.quality_tag: expected a string")
-        return None
+    for key in ("label", "quality_tag"):
+        if raw.get(key) is not None and not isinstance(raw[key], str):
+            errors.append(f"{path}.{key}: expected a string")
+            return None
 
-    members = []
-    ok = True
-    for mi, member_raw in enumerate(raw["members"]):
-        member = _parse_member(member_raw, f"{path}.members[{mi}]", errors)
-        if member is None:
-            ok = False
-        else:
-            members.append(member)
-    if not ok:
+    members = [
+        _parse_member(m, f"{path}.members[{mi}]", errors) for mi, m in enumerate(raw["members"])
+    ]
+    if None in members:
         return None
-    return Group(id=raw["id"], members=tuple(members), label=label, quality_tag=tag)
+    return Group(raw["id"], tuple(members), raw.get("label"), raw.get("quality_tag"))
 
 
 def _parse_member(raw, path: str, errors: list[str]) -> ResearcherProfile | None:
-    if not isinstance(raw, dict):
-        errors.append(f"{path}: expected an object")
-        return None
-    unknown = set(raw) - _MEMBER_KEYS
-    if unknown:
-        errors.append(f"{path}: unknown key(s) {sorted(unknown)}")
-        return None
-    if "id" not in raw or not isinstance(raw["id"], str) or not raw["id"]:
-        errors.append(f"{path}: missing or invalid 'id'")
+    if not _is_entry(raw, _MEMBER_KEYS, path, errors):
         return None
     if "h_index" not in raw or not _is_count(raw["h_index"]):
         errors.append(f"{path}.h_index: expected an integer in [0, 10**50]")
@@ -342,6 +309,19 @@ def _parse_member(raw, path: str, errors: list[str]) -> ResearcherProfile | None
     return ResearcherProfile(
         id=raw["id"], h_index=raw["h_index"], total_citations=total, paper_citations=papers
     )
+
+
+def _is_entry(raw, keys: set[str], path: str, errors: list[str]) -> bool:
+    """Whether ``raw`` is an object of known ``keys`` with a non-empty string id."""
+    if not isinstance(raw, dict):
+        errors.append(f"{path}: expected an object")
+    elif set(raw) - keys:
+        errors.append(f"{path}: unknown key(s) {sorted(set(raw) - keys)}")
+    elif not isinstance(raw.get("id"), str) or not raw["id"]:
+        errors.append(f"{path}: missing or invalid 'id'")
+    else:
+        return True
+    return False
 
 
 def _is_count(value) -> bool:

@@ -1,10 +1,11 @@
 """Per-group scalar metrics and curves.
 
 Everything here is a pure function over immutable inputs.  The cumulative
-h-share curve and its concentration coefficient are computed with exact
-integer arithmetic (member h-indexes are integers) and converted to float
-only at the end, so groups with equal h-indexes get a coefficient of
-exactly 0.0 and scaling every h by a positive integer changes nothing.
+h-share curve and its concentration coefficient share the ascending running
+sums of member h-indexes, exact integers converted to float only at the end,
+so groups with equal h-indexes get a coefficient of exactly 0.0 and scaling
+every h by a positive integer changes nothing.  The h-group is read off the
+member-count survival curve.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .errors import DegenerateGroupError
 from .model import Group
@@ -55,23 +57,23 @@ class LorenzCurve:
     points: tuple[tuple[float, float], ...]
 
 
+def _running_sums(group: Group) -> list[int]:
+    """Ascending running sums of member h-indexes; the last, the total, is positive."""
+    sums = list(accumulate(sorted(group.h_values())))
+    if sums[-1] == 0:
+        raise DegenerateGroupError(f"group {group.id!r}: all member h-indexes are zero")
+    return sums
+
+
 def lorenz_curve(group: Group) -> LorenzCurve:
     """Cumulative h-share over members sorted by ascending h-index.
 
     Raises :class:`DegenerateGroupError` when every member has h-index 0,
     since shares of a zero total are undefined.
     """
-    hs = sorted(group.h_values())
-    total = sum(hs)
-    if total == 0:
-        raise DegenerateGroupError(f"group {group.id!r}: all member h-indexes are zero")
-    n = len(hs)
-    points = []
-    cum = 0
-    for i, h in enumerate(hs, start=1):
-        cum += h
-        points.append((i / n, cum / total))
-    return LorenzCurve(tuple(points))
+    sums = _running_sums(group)
+    n, total = len(sums), sums[-1]
+    return LorenzCurve(tuple((i / n, cum / total) for i, cum in enumerate(sums, start=1)))
 
 
 def gini(group: Group) -> float:
@@ -83,44 +85,25 @@ def gini(group: Group) -> float:
         g = 1 - (1/n) * sum_k (phi_k + phi_{k-1}),  phi_0 = 0, phi_n = 1.
 
     Computed as one exact integer ratio, so equal-h groups give exactly 0.0.
+    Raises :class:`DegenerateGroupError` like :func:`lorenz_curve`.
     """
-    hs = sorted(group.h_values())
-    total = sum(hs)
-    if total == 0:
-        raise DegenerateGroupError(f"group {group.id!r}: all member h-indexes are zero")
-    n = len(hs)
-    cum = 0
-    trapezoid = 0  # sum of (cum_k + cum_{k-1}), all integers
-    prev = 0
-    for h in hs:
-        cum += h
-        trapezoid += cum + prev
-        prev = cum
+    sums = _running_sums(group)
+    n, total = len(sums), sums[-1]
+    trapezoid = 2 * sum(sums) - total  # sum of (cum_k + cum_{k-1}), cum_0 = 0
     return (n * total - trapezoid) / (n * total)
 
 
 def h_group(group: Group) -> int:
-    """Largest H such that at least H members have h-index >= H.
-
-    Evaluated through the survival curve psi(h_i) = n - i + 1 over members
-    sorted ascending by h: the answer is max_i min(h_i, psi_i), the point
-    where the curve crosses the identity line.
-    """
-    hs = sorted(group.h_values())
-    n = len(hs)
-    best = 0
-    for i, h in enumerate(hs, start=1):
-        psi = n - i + 1
-        crossing = h if h < psi else psi
-        if crossing > best:
-            best = crossing
-    return best
+    """Largest H such that at least H members have h-index >= H: the crossing
+    of :func:`psi_curve` with the identity line, max_i min(h_i, psi_i)."""
+    return max(min(h, psi) for h, psi in psi_curve(group))
 
 
 def psi_curve(group: Group) -> list[tuple[int, int]]:
     """Plot-ready pairs (h_i, n - i + 1) over members sorted ascending by h.
 
-    The crossing with the identity line equals :func:`h_group`.
+    The survival curve: at least psi_i members have h-index >= h_i.  Its
+    crossing with the identity line is :func:`h_group`.
     """
     hs = sorted(group.h_values())
     n = len(hs)

@@ -5,7 +5,7 @@ of the smallest group's size from each group's h-index multiset and averaging
 the subset h-indexes ("relative h-group").  Each group's quality weight
 (alpha) is its relative h-group divided by its concentration coefficient,
 normalized so the weights sum to 1: homogeneous groups are amplified,
-top-heavy ones damped.
+top-heavy ones damped; an all-zero score total raises ``ValueError``.
 
 Determinism: every sample draws from a stream derived from
 ``(seed, group position, sample index)``, so reports are bit-identical for
@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from . import _kernels
 from .errors import SampleTooLargeError, TooFewGroupsError
@@ -87,8 +87,6 @@ def relative_h_group(
         raise SampleTooLargeError(
             f"sample_size {sample_size} exceeds group {target.id!r} size {len(hs)}"
         )
-    if n_samples < 1:
-        raise ValueError(f"n_samples must be positive, got {n_samples}")
     total = _kernels.subset_hindex_sum(hs, sample_size, n_samples, stream.seed, stream.key)
     return total / n_samples
 
@@ -124,17 +122,7 @@ class RankingReport:
     def as_dict(self) -> dict:
         """JSON-ready representation."""
         return {
-            "rows": [
-                {
-                    "group_id": r.group_id,
-                    "gini": r.gini,
-                    "h_group": r.h_group,
-                    "relative_h_group": r.relative_h_group,
-                    "alpha": r.alpha,
-                    "rank": r.rank,
-                }
-                for r in self.rows
-            ],
+            "rows": [asdict(r) for r in self.rows],
             "provenance": {
                 "reference_group_id": self.reference_group_id,
                 "reference_size": self.reference_size,
@@ -152,8 +140,9 @@ def rank(groups: Sequence[Group], config: RankingConfig = RankingConfig()) -> Ra
     Steps: (1) the smallest group is the reference (ties broken by
     lexicographic group id); (2) each group's relative h-group is estimated
     at the reference size on its own deterministic stream; (3) alpha weights
-    are relative h-group over floored gini, normalized to sum to 1.  Rows
-    are sorted by descending alpha, ties broken by group id.
+    are relative h-group over floored gini, normalized to sum to 1
+    (``ValueError`` if they are all 0).  Rows are sorted by descending
+    alpha, ties broken by group id.
     """
     groups = list(groups)
     if len(groups) < 2:
@@ -163,8 +152,8 @@ def rank(groups: Sequence[Group], config: RankingConfig = RankingConfig()) -> Ra
         raise ValueError("group ids must be unique for ranking")
 
     reference = min(groups, key=lambda g: (len(g.members), g.id))
-    ref_size = config.reference_size if config.reference_size is not None else len(reference.members)
-    smallest = min(len(g.members) for g in groups)
+    smallest = len(reference.members)
+    ref_size = smallest if config.reference_size is None else config.reference_size
     if ref_size > smallest:
         raise SampleTooLargeError(
             f"reference size {ref_size} exceeds the smallest group size {smallest}"
@@ -176,20 +165,8 @@ def rank(groups: Sequence[Group], config: RankingConfig = RankingConfig()) -> Ra
         for pos, g in enumerate(groups)
     ]
     absolutes = [h_group(g) for g in groups]
-    floored = tuple(g.id for g, gv in zip(groups, ginis) if gv < config.gini_floor)
-
-    scores = [rel / max(gv, config.gini_floor) for rel, gv in zip(relatives, ginis)]
-    total = sum(scores)
-    rows = _build_rows(ids, ginis, absolutes, relatives, [s / total for s in scores])
-    return RankingReport(
-        rows=rows,
-        reference_group_id=reference.id,
-        reference_size=ref_size,
-        seed=config.seed,
-        n_samples=config.n_samples,
-        gini_floor=config.gini_floor,
-        floored_group_ids=floored,
-    )
+    provenance = (reference.id, ref_size, config.seed, config.n_samples)
+    return _weigh(ids, ginis, absolutes, relatives, config.gini_floor, provenance)
 
 
 def rank_from_precomputed(
@@ -212,34 +189,20 @@ def rank_from_precomputed(
     if any(rel < 0 for rel in relatives):
         raise ValueError("relative h-group values must be non-negative")
     ginis = [float(gv) for _, _, gv in rows]
-    floored = tuple(gid for gid, gv in zip(ids, ginis) if gv < gini_floor)
+    return _weigh(ids, ginis, [None] * len(ids), relatives, gini_floor, (None,) * 4)
 
+
+def _weigh(ids, ginis, absolutes, relatives, gini_floor, provenance) -> RankingReport:
+    """The ranked report; ``provenance`` is (reference id, reference size, seed, samples)."""
     scores = [rel / max(gv, gini_floor) for rel, gv in zip(relatives, ginis)]
     total = sum(scores)
     if total == 0:
         raise ValueError("all scores are zero; alpha weights are undefined")
-    out = _build_rows(ids, ginis, [None] * len(ids), relatives, [s / total for s in scores])
-    return RankingReport(
-        rows=out,
-        reference_group_id=None,
-        reference_size=None,
-        seed=None,
-        n_samples=None,
-        gini_floor=gini_floor,
-        floored_group_ids=floored,
-    )
-
-
-def _build_rows(ids, ginis, absolutes, relatives, alphas) -> tuple[RankingRow, ...]:
+    alphas = [s / total for s in scores]
     order = sorted(range(len(ids)), key=lambda i: (-alphas[i], ids[i]))
-    return tuple(
-        RankingRow(
-            group_id=ids[i],
-            gini=ginis[i],
-            h_group=absolutes[i],
-            relative_h_group=relatives[i],
-            alpha=alphas[i],
-            rank=pos,
-        )
+    rows = tuple(
+        RankingRow(ids[i], ginis[i], absolutes[i], relatives[i], alphas[i], pos)
         for pos, i in enumerate(order, start=1)
     )
+    floored = tuple(gid for gid, gv in zip(ids, ginis) if gv < gini_floor)
+    return RankingReport(rows, *provenance, gini_floor, floored)

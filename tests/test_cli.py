@@ -201,6 +201,19 @@ class TestRank:
         assert out == ""
         assert err.startswith("error: --gini-floor must be")
 
+    def test_all_zero_scores_exit_one(self, capsys, tmp_path):
+        # with this seed every one-member subset draws an h of 0
+        path = tmp_path / "zero.csv"
+        rows = [f"{g},{g}{i},{h},{h}" for g in "ab" for i, h in enumerate([1, 0, 0, 0, 0])]
+        path.write_text("group_id,researcher_id,h_index,total_citations\n" + "\n".join(rows))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(
+                capsys, "rank", path, "--ref-size", "1", "--samples", "1", "--seed", "3"
+            )
+        assert (code, out) == (1, "")
+        assert err == "error: all scores are zero; alpha weights are undefined\n"
+
     def test_csv_format_carries_provenance_comment(self, capsys, two_group_file):
         code, out, _ = run(capsys, "rank", two_group_file, "--seed", "4", "--format", "csv")
         assert code == 0
@@ -408,6 +421,49 @@ class TestDistfit:
             )
             assert code == 1
             assert spec in err and reason in err
+
+    def test_beta_grid_floor(self, capsys, summary_file):
+        code, out, err = run(
+            capsys, "distfit", summary_file, "--analysis", "beta", "--beta-grid", "1e-300,0.3"
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: beta grid values must be at least 1e-06, got 1e-300\n"
+
+    @pytest.mark.parametrize(
+        "total, argv, named",
+        [
+            (500, ["moments", "--beta-grid", "1e-300,0.3"], "moment ratio at k=1.1, beta=1e-300"),
+            (500, ["moments", "--k-grid", "1,1e300"], "sample moment ratio at k=1e+300"),
+            (10**50, ["moments", "--k-grid", "1,10", "--format", "json"], "k=10.0"),
+            (10**50, ["beta", "--objective", "moments", "--k-grid", "1,10"], "k=10.0"),
+        ],
+        ids=["theoretical", "empirical", "ceiling-moments", "ceiling-objective"],
+    )
+    def test_moment_ratio_outside_double_range(self, capsys, tmp_path, total, argv, named):
+        lines = ["group_id,researcher_id,h_index,total_citations", f"g,r0,3,{total}"]
+        lines += [f"g,r{i},3,{20 + 13 * i}" for i in range(1, 12)]
+        path = tmp_path / "totals.csv"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "distfit", path, "--analysis", *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and named in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["--bin-width", "nan"], "bin width must be finite, got nan"),
+            (["--bin-width", "inf"], "bin width must be finite, got inf"),
+            (["--binning", "geometric", "--bin-ratio", "inf"], "bin ratio must be finite, got inf"),
+            (["--binning", "geometric", "--bin-ratio", "nan"], "bin ratio must be finite, got nan"),
+        ],
+        ids=["width-nan", "width-inf", "ratio-inf", "ratio-nan"],
+    )
+    def test_non_finite_bin_spec_refused(self, capsys, summary_file, argv, named):
+        code, out, err = run(capsys, "distfit", summary_file, "--analysis", "giddings", *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and named in err
 
     def test_normality_per_group(self, capsys, summary_file):
         code, out, _ = run(capsys, "distfit", summary_file, "--analysis", "normality", "--format", "json")

@@ -1,6 +1,8 @@
 """Distribution analyses: slope, shape fits, peak-shape fit, histograms."""
 
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from scipy.integrate import quad
 from scipy.stats import gennorm
 
 from alphaindex.distribution import (
+    BETA_OBJECTIVES,
     DEFAULT_BETA_GRID,
     DEFAULT_K_GRID,
     GiddingsFit,
@@ -113,6 +116,22 @@ class TestMomentRatios:
         with pytest.raises(ValueError):
             empirical_moment_ratio(2, [1.0, 0.0])
 
+    @pytest.mark.parametrize(
+        "ratio, args, named",
+        [
+            (theoretical_moment_ratio, (1.1, 1e-300), "k=1.1, beta=1e-300"),  # exp overflows
+            (theoretical_moment_ratio, (2.0, 1e-306), "k=2.0, beta=1e-306"),  # lgamma overflows
+            (empirical_moment_ratio, (1e300, [2.0, 3.0]), "k=1e+300"),  # n ** (k - 1) overflows
+            (empirical_moment_ratio, (10, [1e50, 2.0, 3.0]), "k=10"),  # inf / inf
+        ],
+        ids=["exp", "lgamma", "power", "inf-over-inf"],
+    )
+    def test_ratio_outside_double_range_refused(self, ratio, args, named):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=re.escape(named)):
+                ratio(*args)
+
 
 class TestFitBeta:
     def test_recovers_generated_shape(self):
@@ -168,6 +187,28 @@ class TestFitBeta:
     def test_needs_ten_points(self):
         with pytest.raises(InsufficientDataError):
             fit_beta([1.0] * 9)
+
+    def test_beta_grid_floor(self):
+        x = sample_stretched_exp(StretchedExpParams(beta=0.28), 1_000, np.random.default_rng(2))
+        with pytest.raises(ValueError, match="must be positive"):
+            fit_beta(x, beta_grid=(0.0, 0.3))
+        for objective in BETA_OBJECTIVES:
+            with pytest.raises(ValueError, match="at least 1e-06, got 1e-300"):
+                fit_beta(x, beta_grid=(1e-300, 0.3), objective=objective)
+        assert fit_beta(x, beta_grid=(1e-6, 0.3)).grid == (1e-6, 0.3)
+
+    def test_moments_objective_outside_double_range_refused(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for log_residuals in (True, False):
+                with pytest.raises(ValueError, match="sample log moment ratio at k=10.0"):
+                    fit_beta(
+                        [1e50, *range(1, 12)], k_grid=(1.0, 10.0), objective="moments",
+                        log_residuals=log_residuals,
+                    )
+            # exp of the theoretical log-ratio overflows in raw space
+            with pytest.raises(ValueError, match="moments objective at beta=1e-06"):
+                fit_beta(range(1, 13), beta_grid=(1e-6, 0.3), objective="moments", log_residuals=False)
 
 
 class TestGiddingsEval:

@@ -161,6 +161,12 @@ class TestRank:
         report = rank(groups, RankingConfig(n_samples=200, seed=2))
         assert report.floored_group_ids == ("flat",)
 
+    def test_all_zero_scores_refused(self):
+        # with this seed every one-member subset draws an h of 0
+        groups = [synth_group("a", [1, 0, 0, 0, 0]), synth_group("b", [1, 0, 0, 0, 0])]
+        with pytest.raises(ValueError, match="all scores are zero"):
+            rank(groups, RankingConfig(n_samples=1, seed=3, reference_size=1))
+
 
 class TestRankFromPrecomputed:
     def test_published_ratio_reproduction(self):
@@ -194,6 +200,10 @@ class TestRankFromPrecomputed:
     def test_precomputed_rows_have_no_absolute_column(self):
         report = rank_from_precomputed([("x", 2.0, 0.3), ("y", 1.0, 0.4)])
         assert all(r.h_group is None for r in report.rows)
+
+    def test_all_zero_scores_refused(self):
+        with pytest.raises(ValueError, match="all scores are zero"):
+            rank_from_precomputed([("a", 0.0, 0.3), ("b", 0.0, 0.4)])
 
 
 def test_convergence_rate_one_over_sqrt_samples():
