@@ -336,16 +336,13 @@ def _distfit_beta(args, dataset) -> Result:
     values, beta_grid, k_grid = _citation_inputs(args, dataset)
     if args.raw_objective and args.objective != "moments":
         raise CliError("--raw-objective applies only with --objective moments")
-    try:
-        fit = distribution.fit_beta(
-            values,
-            beta_grid,
-            k_grid,
-            log_residuals=not args.raw_objective,
-            objective=args.objective or "likelihood",
-        )
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+    fit = distribution.fit_beta(
+        values,
+        beta_grid,
+        k_grid,
+        log_residuals=not args.raw_objective,
+        objective=args.objective or "likelihood",
+    )
     doc = {
         "beta": fit.beta,
         "grid": list(fit.grid),
@@ -399,10 +396,7 @@ def _distfit_normality(args, dataset) -> Result:
 
 def _distfit_moments(args, dataset) -> Result:
     values, beta_grid, k_grid = _citation_inputs(args, dataset)
-    try:
-        empirical = [distribution.empirical_moment_ratio(k, values) for k in k_grid]
-    except (ValueError, AlphaIndexError) as exc:
-        raise CliError(str(exc)) from None
+    empirical = [distribution.empirical_moment_ratio(k, values) for k in k_grid]
     theoretical = {
         beta: [distribution.theoretical_moment_ratio(k, beta) for k in k_grid]
         for beta in beta_grid

@@ -25,7 +25,12 @@ from alphaindex.distribution import (
     skewness,
     theoretical_moment_ratio,
 )
-from alphaindex.errors import BinSpecError, InsufficientDataError, ZeroVarianceError
+from alphaindex.errors import (
+    BinSpecError,
+    FitDivergedError,
+    InsufficientDataError,
+    ZeroVarianceError,
+)
 from alphaindex.synth import StretchedExpParams, sample_stretched_exp
 
 REFERENCE_PEAK = GiddingsFit(baseline=0.912, amplitude=1118.453, width=2.518, center=10.44)
@@ -197,6 +202,16 @@ class TestFitBeta:
                 fit_beta(x, beta_grid=(1e-300, 0.3), objective=objective)
         assert fit_beta(x, beta_grid=(1e-6, 0.3)).grid == (1e-6, 0.3)
 
+    def test_non_finite_beta_grid_value_refused(self):
+        for value in (math.nan, math.inf):
+            with pytest.raises(ValueError, match=f"beta grid value {value} is not a finite double"):
+                fit_beta(np.arange(1, 30), beta_grid=(value, 0.3))
+
+    def test_non_finite_k_grid_value_refused(self):
+        for value in (math.nan, math.inf):
+            with pytest.raises(ValueError, match=f"k grid value {value} is not a finite double"):
+                fit_beta(np.arange(1, 30), k_grid=(1.0, value))
+
     def test_moments_objective_outside_double_range_refused(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -281,6 +296,73 @@ class TestFitGiddings:
         a = fit_giddings(reference_histogram(noise_seed=7))
         b = fit_giddings(reference_histogram(noise_seed=7))
         assert a == b
+
+    @pytest.mark.parametrize(
+        "hist",
+        [
+            reference_histogram(noise_seed=7),
+            # pooled h-indexes of 5k members in bins of width 10
+            Histogram(
+                bin_edges=tuple(float(e) for e in range(1, 82, 10)),
+                counts=(938, 1808, 1246, 641, 241, 94, 29, 3),
+                binning_mode="linear",
+            ),
+        ],
+        ids=["reference-noisy", "pooled-h"],
+    )
+    def test_baseline_and_amplitude_are_the_least_squares_solution(self, hist):
+        fit = fit_giddings(hist)
+        shape = GiddingsFit(baseline=0.0, amplitude=1.0, width=fit.width, center=fit.center)
+        g = np.array([giddings_eval(h, shape) for h in hist.centers()])
+        (baseline, amplitude), *_ = np.linalg.lstsq(
+            np.column_stack([np.ones(g.size), g]), np.asarray(hist.counts, dtype=float), rcond=None
+        )
+        assert fit.baseline == pytest.approx(baseline, rel=1e-9)
+        assert fit.amplitude == pytest.approx(amplitude, rel=1e-9)
+
+    def test_constant_counts_fit_the_baseline_alone(self):
+        hist = Histogram(
+            bin_edges=tuple(float(e) for e in range(1, 9)), counts=(5.0,) * 7, binning_mode="linear"
+        )
+        fit = fit_giddings(hist)
+        assert (fit.amplitude, fit.baseline, fit.residual_ss) == (0.0, 5.0, 0.0)
+
+    def test_valley_matches_the_four_parameter_search(self):
+        # recorded from the search over all four parameters; at one point of
+        # the search the peak shape has no spread over the bins, where the
+        # solve must not divide 0 by 0
+        hist = Histogram(
+            bin_edges=tuple(float(e) for e in range(1, 12)),
+            counts=(20.0, 15.0, 10.0, 6.0, 3.0, 2.0, 3.0, 6.0, 10.0, 15.0),
+            binning_mode="linear",
+        )
+        fit = fit_giddings(hist)
+        want = GiddingsFit(
+            baseline=6.449644058321937,
+            amplitude=28.95646000832233,
+            width=0.2022151472643171,
+            center=1.9310859632777264,
+            residual_ss=131.83859639623233,
+        )
+        for name in ("baseline", "amplitude", "width", "center"):
+            assert getattr(fit, name) == pytest.approx(getattr(want, name), rel=1e-6)
+        assert fit.residual_ss == pytest.approx(want.residual_ss, rel=1e-12)
+        assert fit.converged
+
+    def test_rising_counts_do_not_divide_by_zero(self):
+        # the search runs to a peak far right of the data, where the shape's
+        # spread over the bins underflows to 0 while its covariance with the
+        # counts does not
+        hist = Histogram(
+            bin_edges=tuple(float(e) for e in range(1, 9)),
+            counts=(1.0, 2.0, 3.0, 5.0, 8.0, 13.0, 21.0),
+            binning_mode="linear",
+        )
+        try:
+            fit = fit_giddings(hist)
+        except FitDivergedError:
+            return
+        assert all(math.isfinite(v) for v in (fit.baseline, fit.amplitude, fit.residual_ss))
 
 
 class TestShapeStatistics:

@@ -20,6 +20,8 @@ EXPECTED = {
     "metrics.group_metrics",
     "ingest.read_dataset_file",
     "distribution.empirical_moment_ratio",
+    "distribution.fit_giddings",
+    "distribution.build_histogram",
 }
 
 
@@ -34,7 +36,9 @@ def tracing(monkeypatch):
 @pytest.fixture
 def summary_file(tmp_path):
     lines = ["group_id,researcher_id,h_index,total_citations"]
-    lines += [f"g{i % 2},r{i},{2 + i % 7},{30 + 11 * i}" for i in range(16)]
+    # h-indexes 2..9 with one peak, so that the Giddings fit converges
+    hs = [h for h, n in zip(range(2, 10), (1, 3, 6, 8, 6, 3, 2, 1)) for _ in range(n)]
+    lines += [f"g{i % 2},r{i},{h},{30 + 11 * i}" for i, h in enumerate(hs)]
     path = tmp_path / "summary.csv"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
@@ -46,6 +50,7 @@ def test_tracer_sees_every_layer_and_restores_it(tracing, summary_file, capsys):
         ["rank", summary_file, "--samples", "20"],
         ["metrics", summary_file],
         ["distfit", summary_file, "--analysis", "moments", "--k-grid", "1,2"],
+        ["distfit", summary_file, "--analysis", "giddings"],
     ]
     tracer = tracing.Tracer()
     tracer.install()
@@ -62,5 +67,6 @@ def test_tracer_sees_every_layer_and_restores_it(tracing, summary_file, capsys):
     capsys.readouterr()
 
     assert EXPECTED <= {func for func, ns in tracer.func_ns.items() if ns > 0}
+    assert tracer.layers["special"].calls > 0
     assert tracer.ops == len(commands)
     assert all(getattr(module, attr) is fn for module, attr, fn in originals)
