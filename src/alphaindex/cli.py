@@ -416,6 +416,11 @@ def _distfit_moments(args, dataset) -> Result:
 # -- synth and validate -------------------------------------------------------
 
 
+# Largest sample synth draws, checked before any draw is allocated (the same
+# guard as the grid point limit above).
+_MAX_SYNTH_N = 1_000_000
+
+
 def _cmd_synth(args) -> Result:
     if args.beta <= 0:
         raise CliError(f"--beta must be positive, got {args.beta}")
@@ -423,6 +428,8 @@ def _cmd_synth(args) -> Result:
         raise CliError(f"--x0 must be positive, got {args.x0}")
     if args.n < 1:
         raise CliError(f"--n must be positive, got {args.n}")
+    if args.n > _MAX_SYNTH_N:
+        raise CliError(f"--n must be at most {_MAX_SYNTH_N}, got {args.n}")
     if args.seed < 0:
         raise CliError("--seed must be non-negative")
     params = synth.StretchedExpParams(beta=args.beta, scale=args.x0)

@@ -1,4 +1,8 @@
-"""Deterministic synthetic populations for demos and fit-recovery tests."""
+"""Deterministic synthetic populations for demos and fit-recovery tests.
+
+The incomplete gamma functions come from ``scipy.special``, imported on the
+first call that needs them, so importing this module loads no scipy.
+"""
 
 from __future__ import annotations
 
@@ -6,7 +10,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammainc, gammaincinv
 
 from .model import Group, ResearcherProfile
 
@@ -32,6 +35,8 @@ class StretchedExpParams:
 
 def stretched_exp_cdf(params: StretchedExpParams, x) -> np.ndarray:
     """CDF of the density ``~ exp(-(x/scale)**beta)`` at ``x`` (vectorized)."""
+    from scipy.special import gammainc
+
     x = np.asarray(x, dtype=float)
     return gammainc(1.0 / params.beta, (x / params.scale) ** params.beta)
 
@@ -57,6 +62,8 @@ def sample_stretched_exp(
     """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
+    from scipy.special import gammaincinv
+
     # clip away an exact 0 so every draw is strictly positive
     u = np.clip(rng.random(n), np.finfo(float).tiny, None)
     with np.errstate(all="ignore"):

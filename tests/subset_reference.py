@@ -2,8 +2,12 @@
 
 One sample at a time, on 64-bit-masked Python integers, exactly as the
 contract in ``alphaindex._kernels`` states it.  The tests compare the numpy
-kernel against this loop; it is not used by the package.
+kernel against this loop, and its Monte Carlo mean against the exact moments
+of :func:`hindex_moments_exact`; neither is used by the package.
 """
+
+from fractions import Fraction
+from math import comb
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -65,3 +69,30 @@ def subset_hindex_sum(
             r = swaps[t]
             idx[t], idx[r] = idx[r], idx[t]
     return total
+
+
+def hindex_moments_exact(values, sample_size: int) -> tuple[Fraction, Fraction]:
+    """E[H] and E[H^2] of the h-index H of a uniform ``sample_size``-subset.
+
+    A subset has h-index >= k exactly when at least k of its members have
+    h >= k.  With c_k = #{h >= k}, that count is hypergeometric, so
+
+        E[H]   = sum_{k=1..s} P(Hypergeom(n, c_k, s) >= k)
+        E[H^2] = sum_{k=1..s} (2k - 1) P(Hypergeom(n, c_k, s) >= k)
+
+    summed here in integers over the common denominator C(n, s).
+    """
+    vals = [int(v) for v in values]
+    n, s = len(vals), int(sample_size)
+    if not 1 <= s <= n:
+        raise ValueError(f"sample_size must be in [1, {n}], got {sample_size}")
+    first = second = 0
+    for k in range(1, s + 1):
+        c = sum(1 for v in vals if v >= k)
+        # subsets holding j >= k of the c members with h >= k
+        js = range(max(k, s - n + c), min(c, s) + 1)
+        tail = sum(comb(c, j) * comb(n - c, s - j) for j in js)
+        first += tail
+        second += (2 * k - 1) * tail
+    total = comb(n, s)
+    return Fraction(first, total), Fraction(second, total)

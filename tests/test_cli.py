@@ -62,16 +62,58 @@ def summary_file(tmp_path):
     return path
 
 
-def test_import_does_not_load_scipy_stats():
-    # scipy.stats costs about half a second at start-up, paid by every command
+def peaked_csv(tmp_path) -> Path:
+    """Summary-form CSV whose h-index histogram is one Giddings peak."""
+    from alphaindex.distribution import GiddingsFit, giddings_eval
+
+    # integer pseudo-counts sampled from the peak shape
+    peak = GiddingsFit(baseline=0.0, amplitude=400.0, width=2.0, center=9.0)
+    lines = ["group_id,researcher_id,h_index,total_citations"]
+    ridx = 0
+    for h in range(1, 30):
+        for _ in range(round(giddings_eval(float(h), peak))):
+            lines.append(f"g,r{ridx},{h},")
+            ridx += 1
+    path = tmp_path / "peaked.csv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
+def test_import_does_not_load_scipy_stats(tmp_path, summary_file):
+    # scipy costs most of a fresh start-up, so the package imports it only
+    # inside the functions that call it: importing the CLI and running the
+    # commands that never fit anything load none of it
     src = str(Path(alphaindex.__file__).resolve().parent.parent)
-    code = (
-        f"import sys; sys.path.insert(0, {src!r}); import alphaindex.cli; "
-        "print('scipy.stats' in sys.modules)"
+    fit_nothing = ("rank", "metrics", "lorenz", "psi", "validate")
+    runs = {
+        name: [name, str(summary_file), "--output", str(tmp_path / f"{name}.out")]
+        for name in fit_nothing
+    }
+    giddings = tmp_path / "giddings.out"
+    runs["giddings"] = ["distfit", str(peaked_csv(tmp_path)), "--analysis", "giddings",
+                        "--format", "json", "--output", str(giddings)]
+    script = (
+        f"import json, sys; sys.path.insert(0, {src!r})\n"
+        "def scipy_modules():\n"
+        "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "import alphaindex\n"
+        "seen = {'import alphaindex': [0, scipy_modules()]}\n"
+        "import alphaindex.cli\n"
+        "seen['import alphaindex.cli'] = [0, scipy_modules()]\n"
+        f"for name, argv in {runs!r}.items():\n"
+        "    seen[name] = [alphaindex.cli.main(argv), scipy_modules()]\n"
+        "print(json.dumps(seen))\n"
     )
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "False"
+    seen = json.loads(done.stdout)
+    assert "scipy.stats" not in seen["import alphaindex.cli"][1]
+    for step in ("import alphaindex", "import alphaindex.cli", *fit_nothing):
+        assert seen[step] == [0, []], step
+    # the deferred import still happens where a fit needs it
+    code, loaded = seen["giddings"]
+    assert code == 0 and "scipy.optimize" in loaded
+    assert json.loads(giddings.read_text(encoding="utf-8"))["converged"] is True
 
 
 def run(capsys, *argv) -> tuple[int, str, str]:
@@ -483,20 +525,9 @@ class TestDistfit:
         assert doc["empirical"][0] == pytest.approx(1.0)
 
     def test_giddings_on_peaked_data(self, capsys, tmp_path):
-        from alphaindex.distribution import GiddingsFit, giddings_eval
-
-        # integer pseudo-counts sampled from the peak shape
-        peak = GiddingsFit(baseline=0.0, amplitude=400.0, width=2.0, center=9.0)
-        lines = ["group_id,researcher_id,h_index,total_citations"]
-        ridx = 0
-        for h in range(1, 30):
-            for _ in range(round(giddings_eval(float(h), peak))):
-                lines.append(f"g,r{ridx},{h},")
-                ridx += 1
-        path = tmp_path / "peaked.csv"
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         code, out, _ = run(
-            capsys, "distfit", path, "--analysis", "giddings", "--format", "json", "--quiet"
+            capsys, "distfit", peaked_csv(tmp_path), "--analysis", "giddings",
+            "--format", "json", "--quiet",
         )
         assert code == 0
         doc = json.loads(out)
@@ -533,6 +564,23 @@ class TestSynth:
         doc = json.loads(out)
         jsonschema.validate(doc, DATASET_SCHEMA)
         assert doc["groups"][0]["id"] == "boards"
+
+    def test_sample_size_ceiling(self, capsys, monkeypatch):
+        import alphaindex.cli as cli
+
+        class Drawn(Exception):
+            pass
+
+        def no_draws(*args):
+            raise Drawn  # an oversized --n must be refused before any draw
+
+        monkeypatch.setattr(cli.np.random, "default_rng", no_draws)
+        for n in (cli._MAX_SYNTH_N + 1, 10**11):
+            code, out, err = run(capsys, "synth", "--beta", "0.3", "--n", n)
+            assert (code, out) == (1, "")
+            assert err == f"error: --n must be at most {cli._MAX_SYNTH_N}, got {n}\n"
+        with pytest.raises(Drawn):  # the ceiling itself is allowed
+            main(["synth", "--beta", "0.3", "--n", str(cli._MAX_SYNTH_N)])
 
     def test_bad_beta_is_domain_error(self, capsys):
         code, _, err = run(capsys, "synth", "--beta", "0", "--n", "10")

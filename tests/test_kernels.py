@@ -1,6 +1,9 @@
 """Subset-sampling kernel: parity with the reference loop and stream structure."""
 
 import json
+import math
+from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -8,6 +11,7 @@ import subset_reference
 
 from alphaindex import _kernels
 from alphaindex.cli import main
+from alphaindex.metrics import h_index
 from alphaindex.ranking import RankingConfig, rank
 from alphaindex.synth import synth_group
 
@@ -102,6 +106,37 @@ def test_uniformity_sanity():
     exact = np.mean([h_index(c) for c in combinations(vals, 3)])
     total = _kernels.subset_hindex_sum(vals, 3, 200_000, 31337, 0)
     assert total / 200_000 == pytest.approx(exact, abs=0.02)
+
+
+class TestExactMoments:
+    """The Monte Carlo kernel against the exact moments of a subset's h-index."""
+
+    @staticmethod
+    def enumerated(vals, s):
+        hs = [h_index(sub) for sub in combinations(vals, s)]
+        return Fraction(sum(hs), len(hs)), Fraction(sum(h * h for h in hs), len(hs))
+
+    def test_oracle_matches_enumeration(self, rng):
+        for _ in range(200):
+            n = int(rng.integers(1, 9))
+            vals = [int(v) for v in rng.integers(0, 10, size=n)]
+            s = int(rng.integers(1, n + 1))
+            assert subset_reference.hindex_moments_exact(vals, s) == self.enumerated(vals, s)
+
+    @pytest.mark.parametrize("n", [20, 57, 150, 400])
+    def test_kernel_mean_within_six_standard_errors(self, rng, n):
+        n_samples = 2000
+        vals = [int(v) for v in rng.integers(0, 3 * n // 4, size=n)]
+        for s in (1, 4, n // 3, n):
+            mean, square = subset_reference.hindex_moments_exact(vals, s)
+            total = _kernels.subset_hindex_sum(vals, s, n_samples, int(rng.integers(0, 2**62)), s)
+            var = square - mean * mean
+            assert var >= 0 and (s < n or var == 0)
+            if var == 0:  # every subset has the same h-index, as at s = n
+                assert Fraction(total, n_samples) == mean
+            else:
+                z = (total / n_samples - float(mean)) / math.sqrt(var / n_samples)
+                assert abs(z) <= 6.0, (n, s, total / n_samples, float(mean))
 
 
 class TestHugeHIndex:
