@@ -2,9 +2,11 @@
 
 Covers the statistical toolbox used around group ranking: the log-log
 citations-vs-h slope, stretched-exponential shape estimation (profile
-likelihood over a beta grid, or moment ratios), a Giddings peak-shape fit
-for h-index histograms (baseline and amplitude in closed form, width and
-center by simplex search, the Bessel function I1 from ``scipy.special``),
+likelihood over a beta grid, or moment ratios computed in log space), a
+Giddings peak-shape fit for h-index histograms (baseline and amplitude in
+closed form; width and center by one grid over a box bounded by the data,
+then one simplex run, with a peak on the box's edge refused by name; the
+Bessel function I1 from ``scipy.special``),
 excess kurtosis and skewness, a Shapiro-Wilk normality test in Royston's
 extended form (3 <= n <= 5000), and histogram construction with linear or
 geometric bins.
@@ -213,14 +215,26 @@ def theoretical_moment_ratio(k: float, beta: float) -> float:
     return _finite(ratio, f"moment ratio at k={k}, beta={beta}")
 
 
+def _ln_moment_ratios(xs: np.ndarray, k_grid: Sequence[float]) -> np.ndarray:
+    # ln R_k = ln mean(x^k) - k * ln mean(x), with x scaled by its maximum:
+    # the scale cancels in R_k, the scaled powers lie in (0, 1] and each
+    # mean is at least 1/n, so no power overflows and no log sees 0.  At
+    # k = 1 both terms are the same float, so ln R_1 is exactly 0.
+    shifted = np.log(xs) - math.log(float(xs.max()))
+    with np.errstate(over="ignore"):  # k * shifted may reach -inf; exp gives 0
+        ln_means = [math.log(float(np.exp(k * shifted).mean())) for k in (1.0, *k_grid)]
+    return np.array([ln_mean - k * ln_means[0] for k, ln_mean in zip(k_grid, ln_means[1:])])
+
+
 def empirical_moment_ratio(k: float, data: Sequence[float]) -> float:
     """Sample analog of :func:`theoretical_moment_ratio`:
 
-        R_k = n^(k-1) * sum(x_i^k) / (sum x_i)^k  =  <x^k> / <x>^k.
+        R_k = n^(k-1) * sum(x_i^k) / (sum x_i)^k  =  <x^k> / <x>^k,
 
-    Requires strictly positive data (fractional powers of zero-citation
-    entries are meaningless here; callers exclude them and report it).
-    ``ValueError`` if R_k or a term of it is not a finite double.
+    computed in log space, so it is refused only when R_k itself leaves the
+    double range.  Requires strictly positive data (fractional powers of
+    zero-citation entries are meaningless here; callers exclude them and
+    report it).  ``ValueError`` if R_k is not a finite double.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -229,9 +243,11 @@ def empirical_moment_ratio(k: float, data: Sequence[float]) -> float:
         raise InsufficientDataError("moment ratio of an empty sample")
     if np.any(xs <= 0):
         raise ValueError("moment ratios require strictly positive data")
-    n = np.float64(xs.size)  # so that n ** (k - 1) overflows to inf, not OverflowError
-    with np.errstate(all="ignore"):
-        ratio = float(n ** (k - 1) * (xs**k).sum() / xs.sum() ** k)
+    (ln_ratio,) = _ln_moment_ratios(xs, (k,))
+    try:
+        ratio = math.exp(ln_ratio)
+    except OverflowError:
+        ratio = math.inf
     return _finite(ratio, f"sample moment ratio at k={k}")
 
 
@@ -341,15 +357,7 @@ def _beta_moment_residuals(
     k_grid: tuple[float, ...],
     log_residuals: bool,
 ) -> list[float]:
-    n = xs.size
-    ln_sum = math.log(float(xs.sum()))
-    with np.errstate(all="ignore"):
-        ln_r = np.array(
-            [
-                (k - 1) * math.log(n) + math.log(float((xs**k).sum())) - k * ln_sum
-                for k in k_grid
-            ]
-        )
+    ln_r = _ln_moment_ratios(xs, k_grid)
     for k, value in zip(k_grid, ln_r):
         _finite(value, f"sample log moment ratio at k={k}")
     objectives = []
@@ -374,7 +382,7 @@ class GiddingsFit:
     width: float
     center: float
     residual_ss: float = 0.0
-    converged: bool = True
+    converged: bool = True  # fit_giddings raises rather than return False
 
     def __post_init__(self):
         if self.amplitude < 0:
@@ -433,12 +441,13 @@ def giddings_eval(h: float, params: GiddingsFit) -> float:
     )
 
 
-def _giddings_peak(h, amplitude: float, width: float, center: float):
-    # h is a scalar or an array of bin centers; exp(-(h + center)/width) is
-    # split as exp(-arg) * exp(-(sqrt(h) - sqrt(center))^2 / width) so the
-    # first factor goes into the scaled Bessel function
+def _giddings_peak(h, amplitude, width, center):
+    # h, amplitude, width and center broadcast against each other;
+    # exp(-(h + center)/width) is split as exp(-arg) * exp(-(sqrt(h) -
+    # sqrt(center))^2 / width) so the first factor goes into the scaled
+    # Bessel function
     arg = 2.0 * np.sqrt(center * h) / width
-    exponent = -((np.sqrt(h) - math.sqrt(center)) ** 2) / width
+    exponent = -((np.sqrt(h) - np.sqrt(center)) ** 2) / width
     return (
         (amplitude / width)
         * np.sqrt(center / h)
@@ -447,68 +456,114 @@ def _giddings_peak(h, amplitude: float, width: float, center: float):
     )
 
 
+def _project(g: np.ndarray, counts: np.ndarray):
+    """Least-squares baseline, amplitude >= 0 and residual SS of ``counts``
+    on ``baseline + amplitude * g``, for each row of the unit peaks ``g``.
+
+    The amplitude is the slope of the centered regression, 0 when it is
+    negative or undefined (a peak with no spread over the bins).
+    """
+    counts_c = counts - counts.mean()
+    g_mean = g.mean(axis=-1)
+    g_c = g - g_mean[..., None]
+    s_gy = g_c @ counts_c
+    s_gg = np.einsum("...i,...i->...", g_c, g_c)
+    amplitude = np.divide(s_gy, s_gg, out=np.zeros_like(s_gy), where=(s_gy > 0) & (s_gg > 0))
+    resid = amplitude[..., None] * g_c - counts_c
+    return counts.mean() - amplitude * g_mean, amplitude, np.einsum("...i,...i->...", resid, resid)
+
+
+_GRID = 48  # grid points per searched coordinate
+_GRID_CELLS = 1 << 20  # largest (grid points, bins) block evaluated at once
+_ON_BOUND = 1e-6  # distance to a box bound, relative to the box's extent
+
+
 def fit_giddings(hist: Histogram) -> GiddingsFit:
     """Least-squares Giddings fit of bin counts at bin centers.
 
     The model ``baseline + amplitude * g(h; width, center)`` is linear in
     baseline and amplitude, so for each (width, center) they are solved in
     closed form, amplitude held at >= 0, and only (width, center) are
-    searched: variable projection (Golub & Pereyra 1973).  The residual is
-    multimodal there, so a derivative-free simplex search runs from a
-    data-driven start plus 7 jittered copies, each stopped after 1000
-    evaluations (from some starts the residual keeps falling toward infinite
-    width and center).  The lowest residual wins, ties broken by restart
-    index; ``converged`` reflects whether its simplex collapsed below 1e-9.
+    searched: variable projection (Golub & Pereyra 1973).
+
+    The search is bounded by the data: ln(width) in [ln(min bin width / 8),
+    ln(4 * (last edge - first edge))] and center in [first edge, last edge],
+    center > 0.  Bins below h = 0 are refused.
+    The projected residual is evaluated on a 48 x 48 grid over that box in
+    one array expression, and one Nelder-Mead simplex in (ln width, center)
+    refines the best grid point, with the residual set to 1e300 outside the
+    box.  ``FitDivergedError`` is raised when the simplex does not collapse
+    below 1e-9 within 1000 evaluations, and when a fit with a positive
+    amplitude ends on a bound of the box (within 1e-6 of its extent), which
+    the error names: the histogram then has no peak inside the binned range.
+    A zero-amplitude fit (the baseline alone) may end on a bound, since its
+    width and center do not enter the model.  ``converged`` is True on
+    every returned fit.
     """
     centers = np.asarray(hist.centers())
     counts = np.asarray(hist.counts, dtype=float)
-    if np.any(centers <= 0):
-        raise ValueError("peak-shape fit needs bins at positive h")
+    if hist.bin_edges[0] < 0:
+        raise ValueError("peak-shape fit needs bins at h >= 0")
     if int((counts > 0).sum()) < 6:
         raise InsufficientDataError(
             "peak-shape fit needs at least 6 non-empty bins "
             "(4 parameters + 2 degrees of freedom)"
         )
 
-    # start at half the half-maximum span and the modal bin's center
-    mode = int(np.argmax(counts))
-    above_half = np.nonzero(counts >= 0.5 * counts[mode])[0]
-    span = centers[above_half[-1]] - centers[above_half[0]]
-    scale = np.array([span / 2.0 if span > 0 else float(np.mean(hist.widths())), centers[mode]])
-    counts_c = counts - counts.mean()
+    first, last = hist.bin_edges[0], hist.bin_edges[-1]
+    lo = np.array([math.log(min(hist.widths()) / 8), first])
+    hi = np.array([math.log(4 * (last - first)), last])
 
-    def project(theta):
-        # best baseline, amplitude >= 0 and residual SS at (width, center) = theta * scale
-        g = _giddings_peak(centers, 1.0, *(theta * scale))
-        g_c = g - g.mean()
-        s_gy, s_gg = float(g_c @ counts_c), float(g_c @ g_c)
-        amplitude = s_gy / s_gg if s_gy > 0 and s_gg > 0 else 0.0
-        resid = amplitude * g_c - counts_c
-        return float(counts.mean() - amplitude * g.mean()), amplitude, float(resid @ resid)
+    def project(ln_width, center):
+        # broadcasts: column vectors give one row per (ln width, center)
+        return _project(_giddings_peak(centers, 1.0, np.exp(ln_width), center), counts)
 
     def objective(theta):
-        return project(theta)[2] if np.all(theta > 0) else 1e300
+        inside = np.all((lo <= theta) & (theta <= hi)) and theta[1] > 0
+        return float(project(*theta)[2]) if inside else 1e300
+
+    # the grid, in blocks of at most _GRID_CELLS values so that very many
+    # bins cannot exhaust memory (one block up to 455 bins)
+    ln_w, c = (
+        a.ravel()
+        for a in np.meshgrid(np.linspace(lo[0], hi[0], _GRID), np.linspace(lo[1], hi[1], _GRID))
+    )
+    rows = max(1, _GRID_CELLS // centers.size)
+    grid_ss = np.concatenate(
+        [project(ln_w[i : i + rows, None], c[i : i + rows, None])[2] for i in range(0, c.size, rows)]
+    )
+    grid_ss[c == 0] = np.inf  # the peak at center 0 is identically 0
+    best = int(np.argmin(grid_ss))
 
     from scipy.optimize import minimize
 
-    rng = np.random.default_rng(0)
-    candidates = []
-    for r in range(8):
-        start = np.ones(2) if r == 0 else 1.0 + rng.uniform(-0.5, 0.5, size=2)
-        result = minimize(
-            objective,
-            start,
-            method="Nelder-Mead",
-            options={"xatol": 1e-9, "fatol": 1e-9, "maxfev": 1000},
+    result = minimize(
+        objective,
+        np.array([ln_w[best], c[best]]),
+        method="Nelder-Mead",
+        options={"xatol": 1e-9, "fatol": 1e-9, "maxfev": 1000},
+    )
+    if not result.success:
+        raise FitDivergedError(
+            f"simplex search did not converge within tolerance 1e-09 in {result.nfev} evaluations"
         )
-        candidates.append((float(result.fun), r, result))
-    best_ss, _, best = min(candidates, key=lambda c: (c[0], c[1]))
-    if not any(c[2].success for c in candidates):
-        raise FitDivergedError("no restart converged within tolerance 1e-09")
-
-    baseline, amplitude, _ = project(best.x)
-    width, center = map(float, best.x * scale)
-    return GiddingsFit(baseline, amplitude, width, center, best_ss, bool(best.success))
+    baseline, amplitude, residual_ss = map(float, project(*result.x))
+    width, center = math.exp(result.x[0]), float(result.x[1])
+    if amplitude > 0:
+        margin = _ON_BOUND * (hi - lo)
+        bounds = (
+            (result.x[0] - lo[0] <= margin[0], f"width = min bin width / 8 = {math.exp(lo[0]):g}"),
+            (hi[0] - result.x[0] <= margin[0], f"width = 4 x data range = {math.exp(hi[0]):g}"),
+            (result.x[1] - lo[1] <= margin[1], f"center = first edge {first:g}"),
+            (hi[1] - result.x[1] <= margin[1], f"center = last edge {last:g}"),
+        )
+        for on_bound, name in bounds:
+            if on_bound:
+                raise FitDivergedError(
+                    f"Giddings fit ends on the search box bound {name}: "
+                    "the histogram has no interior peak"
+                )
+    return GiddingsFit(baseline, amplitude, width, center, residual_ss, True)
 
 
 # ---------------------------------------------------------------------------

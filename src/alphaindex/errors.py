@@ -29,7 +29,8 @@ class InsufficientDataError(AlphaIndexError):
 
 
 class FitDivergedError(AlphaIndexError):
-    """No restart of an iterative fit converged."""
+    """An iterative fit did not converge, or its optimum lies on the edge of
+    its search box (a Giddings peak outside the binned range)."""
 
 
 class ZeroVarianceError(AlphaIndexError):

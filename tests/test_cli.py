@@ -380,7 +380,9 @@ class TestDistfit:
         from alphaindex.synth import StretchedExpParams, sample_stretched_exp
 
         # the seed-1, 50k-draw beta=0.28 sample as integer totals at 1e6 scale;
-        # expected output recorded when moment ratios were the only objective
+        # expected output recorded when moment ratios were the only objective,
+        # re-recorded when the sample ratio moved to log space (each value
+        # moved by at most 8.2e-14 relative)
         x = sample_stretched_exp(StretchedExpParams(beta=0.28), 50_000, np.random.default_rng(1))
         lines = ["group_id,researcher_id,h_index,total_citations"]
         lines += [f"g,r{i},0,{c}" for i, c in enumerate(np.rint(x * 1e6).astype(int))]
@@ -390,14 +392,14 @@ class TestDistfit:
             "beta": 0.3,
             "grid": list(DEFAULT_BETA_GRID),
             "objective_per_beta": [
-                26.704732928961427,
-                13.408199708763409,
-                5.7960398188060465,
-                1.8151422209032517,
-                0.1956914607580844,
-                0.12887680267652024,
-                1.0869733270640587,
-                2.7188340659695642,
+                26.704732928961565,
+                13.408199708763506,
+                5.7960398188061095,
+                1.815142220903287,
+                0.195691460758095,
+                0.12887680267650975,
+                1.0869733270640296,
+                2.718834065969519,
             ],
             "k_grid": list(DEFAULT_K_GRID),
         }
@@ -476,8 +478,9 @@ class TestDistfit:
         [
             (500, ["moments", "--beta-grid", "1e-300,0.3"], "moment ratio at k=1.1, beta=1e-300"),
             (500, ["moments", "--k-grid", "1,1e300"], "sample moment ratio at k=1e+300"),
-            (10**50, ["moments", "--k-grid", "1,10", "--format", "json"], "k=10.0"),
-            (10**50, ["beta", "--objective", "moments", "--k-grid", "1,10"], "k=10.0"),
+            # R_k is about 12 ** (k - 1) at the count ceiling, ln R_k about k * ln 12
+            (10**50, ["moments", "--k-grid", "1,300", "--format", "json"], "k=300.0"),
+            (10**50, ["beta", "--objective", "moments", "--k-grid", "1,1e308"], "k=1e+308"),
         ],
         ids=["theoretical", "empirical", "ceiling-moments", "ceiling-objective"],
     )
@@ -491,6 +494,17 @@ class TestDistfit:
             code, out, err = run(capsys, "distfit", path, "--analysis", *argv)
         assert (code, out) == (1, "")
         assert err.startswith("error: ") and named in err and "Traceback" not in err
+
+    def test_moment_ratio_at_count_ceiling_is_finite(self, capsys, tmp_path):
+        lines = ["group_id,researcher_id,h_index,total_citations", f"g,r0,3,{10**50}"]
+        lines += [f"g,r{i},3,{20 + 13 * i}" for i in range(1, 12)]
+        path = tmp_path / "totals.csv"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code, out, _ = run(
+            capsys, "distfit", path, "--analysis", "moments", "--k-grid", "1,10", "--format", "json"
+        )
+        assert code == 0
+        assert json.loads(out)["empirical"] == [1.0, pytest.approx(12.0**9, rel=1e-12)]
 
     @pytest.mark.parametrize(
         "argv, named",
@@ -533,6 +547,25 @@ class TestDistfit:
         doc = json.loads(out)
         check_schema(doc, "distfit_giddings")
         assert abs(doc["center"] - 9.0) / 9.0 < 0.15
+
+
+    @pytest.mark.parametrize(
+        "counts, named",
+        [
+            ({1: 1, 2: 2, 3: 3, 4: 5, 5: 8, 6: 13, 7: 21}, "bound center = last edge 8"),
+            ({2: 3, 3: 3, 4: 2, 5: 2, 6: 2, 7: 2, 8: 2}, "bound width = min bin width / 8 = 0.125"),
+        ],
+        ids=["rising", "step"],
+    )
+    def test_giddings_without_interior_peak(self, capsys, tmp_path, counts, named):
+        hs = [h for h, n in counts.items() for _ in range(n)]
+        lines = ["group_id,researcher_id,h_index,total_citations"]
+        lines += [f"g,r{i},{h},{10 * h}" for i, h in enumerate(hs)]
+        path = tmp_path / "no-peak.csv"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code, out, err = run(capsys, "distfit", path, "--analysis", "giddings")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and named in err and "Traceback" not in err
 
 
 class TestSynth:

@@ -9,6 +9,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.stats import gennorm
 
+from alphaindex import distribution
 from alphaindex.distribution import (
     BETA_OBJECTIVES,
     DEFAULT_BETA_GRID,
@@ -38,15 +39,17 @@ REFERENCE_PEAK = GiddingsFit(baseline=0.912, amplitude=1118.453, width=2.518, ce
 REFERENCE_PEAK_VALUE_AT_CENTER = 59.547442820128905
 # moment-ratio objective per default grid beta on the seed-1, 50k-draw
 # beta=0.28 sample, recorded when moment ratios were fit_beta's only objective
+# and re-recorded when the sample ratio moved to log space (each value moved
+# by at most 8.6e-14 relative)
 MOMENTS_OBJECTIVE_SEED1 = (
-    26.704732928384185,
-    13.408199708354875,
-    5.796039818538042,
-    1.8151422207541046,
-    0.19569146071076404,
-    0.12887680271740345,
-    1.0869733271820765,
-    2.7188340661556016,
+    26.704732928384335,
+    13.40819970835498,
+    5.796039818538112,
+    1.8151422207541434,
+    0.19569146071077614,
+    0.1288768027173924,
+    1.0869733271820452,
+    2.7188340661555523,
 )
 
 
@@ -117,6 +120,11 @@ class TestMomentRatios:
             m = theoretical_moment_ratio(k, 0.28)
             assert abs(r - m) / m < 0.1
 
+    def test_empirical_in_log_space(self):
+        # n ** (k - 1) and sum(x) ** k overflow here, the ratio does not
+        assert empirical_moment_ratio(2000, [7.5] * 16) == pytest.approx(1.0, abs=1e-12)
+        assert empirical_moment_ratio(10, [1e50, 2.0, 3.0]) == pytest.approx(3.0**9, rel=1e-12)
+
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             empirical_moment_ratio(2, [1.0, 0.0])
@@ -127,9 +135,9 @@ class TestMomentRatios:
             (theoretical_moment_ratio, (1.1, 1e-300), "k=1.1, beta=1e-300"),  # exp overflows
             (theoretical_moment_ratio, (2.0, 1e-306), "k=2.0, beta=1e-306"),  # lgamma overflows
             (empirical_moment_ratio, (1e300, [2.0, 3.0]), "k=1e+300"),  # n ** (k - 1) overflows
-            (empirical_moment_ratio, (10, [1e50, 2.0, 3.0]), "k=10"),  # inf / inf
+            (empirical_moment_ratio, (1000, [1e50, 2.0, 3.0]), "k=1000"),  # about 3 ** 999
         ],
-        ids=["exp", "lgamma", "power", "inf-over-inf"],
+        ids=["exp", "lgamma", "power", "overflow"],
     )
     def test_ratio_outside_double_range_refused(self, ratio, args, named):
         with warnings.catch_warnings():
@@ -216,9 +224,10 @@ class TestFitBeta:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for log_residuals in (True, False):
-                with pytest.raises(ValueError, match="sample log moment ratio at k=10.0"):
+                # ln R_k is about k * ln 12 here
+                with pytest.raises(ValueError, match="sample log moment ratio at k=1e\\+308"):
                     fit_beta(
-                        [1e50, *range(1, 12)], k_grid=(1.0, 10.0), objective="moments",
+                        [1e50, *range(1, 12)], k_grid=(1.0, 1e308), objective="moments",
                         log_residuals=log_residuals,
                     )
             # exp of the theoretical log-ratio overflows in raw space
@@ -266,6 +275,25 @@ def reference_histogram(noise_seed=None):
     return Histogram(bin_edges=edges, counts=tuple(counts), binning_mode="linear")
 
 
+# pooled h-indexes of 5k members in bins of width 10
+POOLED_H = Histogram(
+    bin_edges=tuple(float(e) for e in range(1, 82, 10)),
+    counts=(938, 1808, 1246, 641, 241, 94, 29, 3),
+    binning_mode="linear",
+)
+# histograms with no peak inside the binned range
+RISING = Histogram(
+    bin_edges=tuple(float(e) for e in range(1, 9)),
+    counts=(1.0, 2.0, 3.0, 5.0, 8.0, 13.0, 21.0),
+    binning_mode="linear",
+)
+STEP = Histogram(
+    bin_edges=tuple(float(e) for e in range(2, 10)),
+    counts=(3.0, 3.0, 2.0, 2.0, 2.0, 2.0, 2.0),
+    binning_mode="linear",
+)
+
+
 class TestFitGiddings:
     def test_noiseless_round_trip_within_one_percent(self):
         fit = fit_giddings(reference_histogram())
@@ -299,15 +327,7 @@ class TestFitGiddings:
 
     @pytest.mark.parametrize(
         "hist",
-        [
-            reference_histogram(noise_seed=7),
-            # pooled h-indexes of 5k members in bins of width 10
-            Histogram(
-                bin_edges=tuple(float(e) for e in range(1, 82, 10)),
-                counts=(938, 1808, 1246, 641, 241, 94, 29, 3),
-                binning_mode="linear",
-            ),
-        ],
+        [reference_histogram(noise_seed=7), POOLED_H],
         ids=["reference-noisy", "pooled-h"],
     )
     def test_baseline_and_amplitude_are_the_least_squares_solution(self, hist):
@@ -350,19 +370,46 @@ class TestFitGiddings:
         assert fit.converged
 
     def test_rising_counts_do_not_divide_by_zero(self):
-        # the search runs to a peak far right of the data, where the shape's
-        # spread over the bins underflows to 0 while its covariance with the
-        # counts does not
+        # the best peak lies right of the data, where the shape's spread over
+        # the bins underflows to 0 while its covariance with the counts does
+        # not; the search stops at the box's last edge and says so
+        with pytest.raises(FitDivergedError, match=re.escape("bound center = last edge 8")):
+            fit_giddings(RISING)
+
+    def test_step_counts_end_on_the_width_floor(self):
+        # a spike between the two tall bins keeps lowering the residual as
+        # the width falls; the search stops at min bin width / 8
+        with pytest.raises(FitDivergedError, match=re.escape("bound width = min bin width / 8 = 0.125")):
+            fit_giddings(STEP)
+
+    def test_constant_counts_from_zero_keep_a_positive_center(self):
+        # the box's first edge is 0, where the peak shape vanishes
         hist = Histogram(
-            bin_edges=tuple(float(e) for e in range(1, 9)),
-            counts=(1.0, 2.0, 3.0, 5.0, 8.0, 13.0, 21.0),
-            binning_mode="linear",
+            bin_edges=tuple(float(e) for e in range(8)), counts=(5.0,) * 7, binning_mode="linear"
         )
-        try:
-            fit = fit_giddings(hist)
-        except FitDivergedError:
-            return
-        assert all(math.isfinite(v) for v in (fit.baseline, fit.amplitude, fit.residual_ss))
+        fit = fit_giddings(hist)
+        assert (fit.amplitude, fit.baseline, fit.residual_ss) == (0.0, 5.0, 0.0)
+        assert fit.center > 0
+
+    def test_grid_in_blocks_matches_one_block(self, monkeypatch):
+        hist = reference_histogram(noise_seed=7)
+        whole = fit_giddings(hist)
+        monkeypatch.setattr(distribution, "_GRID_CELLS", 7 * len(hist.counts))
+        assert fit_giddings(hist) == whole
+
+    def test_evaluation_budget(self, monkeypatch):
+        # one call for the whole grid plus one per simplex evaluation;
+        # eight restarts of the simplex took about 1.4k
+        calls = []
+        bessel = distribution.bessel_i1_scaled
+
+        def counting(x):
+            calls.append(1)
+            return bessel(x)
+
+        monkeypatch.setattr(distribution, "bessel_i1_scaled", counting)
+        assert fit_giddings(POOLED_H).converged
+        assert 1 <= len(calls) <= 400
 
 
 class TestShapeStatistics:
