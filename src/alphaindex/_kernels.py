@@ -15,10 +15,15 @@ fixes every result bit for bit:
 The pure-Python loop that states the contract one sample at a time lives in
 ``tests/subset_reference.py``, and the tests compare this kernel against it.
 
-Cost: each sample owns a row of ``n`` indexes, so a call moves about
-``n_samples * n`` index cells through memory.  That is cheap for committee
-and board sizes (tens to hundreds of members) and becomes the dominant cost
-for groups of tens of thousands of members.
+Cost: the values are clipped at the subset size s, so the partial
+Fisher-Yates pass swaps values, not member indexes.  Each sample owns ``n``
+value cells of a position-major pool, in the narrowest signed integer type
+that holds s (one byte for s below 128), and each of the s steps reads and
+writes one cell per sample.  A call therefore allocates about
+``n_samples * n`` narrow cells and touches ``2 * n_samples * s`` of them
+afterwards.  Filling the pool is cheap for committee and board sizes (tens
+to hundreds of members) and becomes the dominant cost for groups of tens of
+thousands of members.
 """
 
 import numpy as np
@@ -30,7 +35,7 @@ _M1 = np.uint64(0xBF58476D1CE4E5B9)
 _M2 = np.uint64(0x94D049BB133111EB)
 _S30, _S27, _S31 = np.uint64(30), np.uint64(27), np.uint64(31)
 
-# Samples are processed in chunks whose index matrix has at most this many
+# Samples are processed in chunks whose value pool has at most this many
 # cells, which bounds the kernel's memory whatever the group size.
 _MAX_CELLS = 1 << 20
 
@@ -81,16 +86,16 @@ def subset_hindex_sum(
         raise ValueError(f"n_samples must be positive, got {n_samples}")
 
     # A subset's h-index never exceeds s, so values are clipped at s here, in
-    # Python ints, before any fixed-width array could overflow.
-    vals = np.array([v if v < s else s for v in ints], dtype=np.int64)
+    # Python ints, and then held in the narrowest signed type that holds s:
+    # the swap pass moves them through memory, so a narrow pool is a fast one.
+    pool_dtype = next(t for t in (np.int8, np.int16, np.int32, np.int64) if s <= np.iinfo(t).max)
+    vals = np.array([v if v < s else s for v in ints], dtype=pool_dtype)
     base = _mix_scalar((int(seed) + (int(key) + 1) * _GOLDEN) & _MASK64)
     steps = np.arange(s, dtype=np.intp)
     # state offset of draw t within its sample: (t + 1) * GOLDEN, wrapping
     step_offsets = np.arange(1, s + 1, dtype=np.uint64) * _U_GOLDEN
     bounds = (n - steps).astype(np.uint64)
     ranks = np.arange(1, s + 1)
-    # int32 member positions halve the memory traffic of the index rows
-    idx_dtype = np.int32 if n < 2**31 else np.int64
     chunk = max(1, _MAX_CELLS // n)
     total = 0
     for j0 in range(0, n_samples, chunk):
@@ -101,17 +106,24 @@ def subset_hindex_sum(
         # row t, column j: mix(state_j + (t + 1) * GOLDEN) % (n - t); draw t adds t
         draws = _mix(step_offsets[:, None] + state[None, :])
         draws %= bounds[:, None]
-        # the m samples' index rows are laid end to end in one flat array
-        row_starts = np.arange(0, m * n, n, dtype=np.intp)
-        swap_pos = draws.astype(np.intp) + (steps[:, None] + row_starts)
-        idx = np.tile(np.arange(n, dtype=idx_dtype), m)
-        # partial Fisher-Yates on every sample at once: row[:s] becomes its subset
+        # position-major pool: cell p * m + j holds position p of sample j, so
+        # row t of the pool is position t of every sample, and draw t of
+        # sample j swaps cell t * m + j with cell (draw + t) * m + j
+        cells = draws.astype(np.intp)
+        cells += steps[:, None]
+        cells *= m
+        cells += np.arange(m, dtype=np.intp)
+        pool = np.repeat(vals, m)
+        rows = pool.reshape(n, m)
+        # partial Fisher-Yates on every sample at once; position t is never
+        # read again after step t, so only the swapped-out cell is written
+        chosen = np.empty((s, m), dtype=pool_dtype)
         for t in range(s):
-            here, there = row_starts + t, swap_pos[t]
-            swapped = idx[there]
-            idx[there] = idx[here]
-            idx[here] = swapped
+            there = cells[t]
+            chosen[t] = pool[there]
+            pool[there] = rows[t]
         # h-index per sample: descending sort, count values >= their 1-based rank
-        subset = np.sort(vals[idx.reshape(m, n)[:, :s]], axis=1)[:, ::-1]
-        total += int(np.count_nonzero(subset >= ranks))
+        subset = chosen.T.astype(np.int64)
+        subset.sort(axis=1)
+        total += int(np.count_nonzero(subset[:, ::-1] >= ranks))
     return total

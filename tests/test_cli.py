@@ -100,8 +100,10 @@ def test_import_does_not_load_scipy_stats(tmp_path, summary_file):
         "seen = {'import alphaindex': [0, scipy_modules()]}\n"
         "import alphaindex.cli\n"
         "seen['import alphaindex.cli'] = [0, scipy_modules()]\n"
+        "seen['parsers after import'] = alphaindex.cli._build_parser.cache_info().misses\n"
         f"for name, argv in {runs!r}.items():\n"
         "    seen[name] = [alphaindex.cli.main(argv), scipy_modules()]\n"
+        "seen['parsers after runs'] = alphaindex.cli._build_parser.cache_info().misses\n"
         "print(json.dumps(seen))\n"
     )
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
@@ -114,12 +116,39 @@ def test_import_does_not_load_scipy_stats(tmp_path, summary_file):
     code, loaded = seen["giddings"]
     assert code == 0 and "scipy.optimize" in loaded
     assert json.loads(giddings.read_text(encoding="utf-8"))["converged"] is True
+    # the parser is built on the first main() call, not at import, and reused
+    assert seen["parsers after import"] == 0
+    assert seen["parsers after runs"] == 1
 
 
 def run(capsys, *argv) -> tuple[int, str, str]:
     code = main([str(a) for a in argv])
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+class TestParserReuse:
+    """One parser serves every main() call of a process; no option leaks."""
+
+    def test_rank_defaults_after_explicit_flags(self, capsys, two_group_file):
+        code, _, _ = run(capsys, "rank", two_group_file, "--seed", "3", "--samples", "50",
+                         "--format", "json")
+        assert code == 0
+        code, out, _ = run(capsys, "rank", two_group_file, "--format", "json")
+        assert code == 0
+        provenance = json.loads(out)["provenance"]
+        assert provenance["seed"] == 0
+        assert provenance["n_samples"] == 1000
+
+    def test_distfit_objective_does_not_carry_over(self, capsys, summary_file):
+        code, _, _ = run(capsys, "distfit", summary_file, "--analysis", "beta",
+                         "--objective", "moments", "--format", "json")
+        assert code == 0
+        # moments refuses --objective, so a leaked value would exit 1
+        code, out, err = run(capsys, "distfit", summary_file, "--analysis", "moments",
+                             "--format", "json")
+        assert code == 0, err
+        assert json.loads(out)["k_grid"]
 
 
 class TestMetrics:

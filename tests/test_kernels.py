@@ -50,6 +50,31 @@ def test_crosses_the_default_chunk_boundary(rng):
         subset_reference.subset_hindex_sum(vals, 20, m, 2**64 - 1, 5)
 
 
+@pytest.mark.parametrize("n, s", [(300, 260), (130, 127), (131, 128), (32770, 32767), (32771, 32768)])
+def test_pool_types(rng, n, s):
+    # s = 260 is past any 8-bit pool; the others are the largest s of a pool
+    # type and the smallest of the next, with values past s to be clipped
+    vals = [int(v) for v in rng.integers(0, s * 3 // 2, size=n)]
+    assert _kernels.subset_hindex_sum(vals, s, 3, 77, 1) == \
+        subset_reference.subset_hindex_sum(vals, s, 3, 77, 1)
+
+
+def test_whole_group_subsets_across_forced_chunks(rng, monkeypatch):
+    # s = n: every sample is the whole group, and its last draw has one choice
+    vals = [int(v) for v in rng.integers(0, 60, size=50)]
+    monkeypatch.setattr(_kernels, "_MAX_CELLS", 50 * 3)
+    assert _kernels.subset_hindex_sum(vals, 50, 20, 9, 4) == \
+        subset_reference.subset_hindex_sum(vals, 50, 20, 9, 4)
+
+
+def test_members_at_and_above_the_sample_size():
+    # h exactly s and h far above s both enter the pool as s
+    s = 6
+    vals = [s, s, s + 1, 10**6, 2**63, 3, 2, 1, 0, s]
+    assert _kernels.subset_hindex_sum(vals, s, 300, 2**64 - 1, 3) == \
+        subset_reference.subset_hindex_sum(vals, s, 300, 2**64 - 1, 3)
+
+
 def test_prefix_sum_consistency():
     # sample j depends only on (seed, key, j): totals are prefix sums
     vals = [9, 4, 4, 2, 1, 0, 7]
