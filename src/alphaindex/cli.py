@@ -293,7 +293,6 @@ def _citation_inputs(args, dataset):
 # distfit options that only some analyses read; any other analysis refuses them
 _DISTFIT_OPTION_ANALYSES = {
     "objective": ("--objective", ("beta",)),
-    "raw_objective": ("--raw-objective", ("beta",)),
     "beta_grid": ("--beta-grid", ("beta", "moments")),
     "k_grid": ("--k-grid", ("beta", "moments")),
 }
@@ -335,14 +334,8 @@ def _distfit_slope(args, dataset) -> Result:
 
 def _distfit_beta(args, dataset) -> Result:
     values, beta_grid, k_grid = _citation_inputs(args, dataset)
-    if args.raw_objective and args.objective != "moments":
-        raise CliError("--raw-objective applies only with --objective moments")
     fit = distribution.fit_beta(
-        values,
-        beta_grid,
-        k_grid,
-        log_residuals=not args.raw_objective,
-        objective=args.objective or "likelihood",
+        values, beta_grid, k_grid, objective=args.objective or "likelihood"
     )
     doc = {
         "beta": fit.beta,
@@ -429,6 +422,9 @@ def _cmd_synth(args) -> Result:
         raise CliError(f"--beta must be positive, got {args.beta}")
     if args.x0 <= 0:
         raise CliError(f"--x0 must be positive, got {args.x0}")
+    for flag, value in (("--beta", args.beta), ("--x0", args.x0)):
+        if not math.isfinite(value):
+            raise CliError(f"{flag} must be finite, got {value}")
     if args.n < 1:
         raise CliError(f"--n must be positive, got {args.n}")
     if args.n > _MAX_SYNTH_N:
@@ -517,9 +513,6 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=distribution.BETA_OBJECTIVES,
         default=None,
         help="shape-fit objective: profile likelihood (default) or moment ratios",
-    )
-    p.add_argument(
-        "--raw-objective", action="store_true", help="raw-space residuals for --objective moments"
     )
     p.set_defaults(handler=_cmd_distfit)
 

@@ -265,7 +265,6 @@ def fit_beta(
     data: Sequence[float],
     beta_grid: Sequence[float] = DEFAULT_BETA_GRID,
     k_grid: Sequence[float] = DEFAULT_K_GRID,
-    log_residuals: bool = True,
     objective: str = "likelihood",
 ) -> StretchedExpFit:
     """Pick the grid beta that minimizes ``objective`` on the sample.
@@ -285,19 +284,15 @@ def fit_beta(
     20 of 20.
 
     ``"moments"`` sums squared residuals between the theoretical and the
-    sample moment ratios over the k grid.  Residuals are taken in log space
-    by default: the ratios span orders of magnitude across k, and raw
-    residuals would let the largest k dominate.  Pass
-    ``log_residuals=False`` for a raw-space sensitivity check; it has no
-    meaning for the likelihood and is refused there.  ``k_grid`` is
-    validated and echoed under either objective.
+    sample moment ratios over the k grid.  Residuals are taken in log space:
+    the ratios span orders of magnitude across k, and raw residuals would
+    let the largest k dominate.  ``k_grid`` is validated and echoed under
+    either objective.
     Grid betas below 1e-6 are refused (the likelihood loses its precision),
     and so is a non-finite moments objective or sample log moment ratio.
     """
     if objective not in BETA_OBJECTIVES:
         raise ValueError(f"unknown objective {objective!r}; expected one of {BETA_OBJECTIVES}")
-    if not log_residuals and objective != "moments":
-        raise ValueError("log_residuals=False applies only to objective='moments'")
     xs = np.asarray(data, dtype=float)
     if xs.size < 10:
         raise InsufficientDataError(f"shape fit needs n >= 10, got {xs.size}")
@@ -320,7 +315,7 @@ def fit_beta(
     if objective == "likelihood":
         objectives = _beta_nll(xs, beta_grid)
     else:
-        objectives = _beta_moment_residuals(xs, beta_grid, k_grid, log_residuals)
+        objectives = _beta_moment_residuals(xs, beta_grid, k_grid)
     best = int(np.argmin(objectives))
     return StretchedExpFit(
         beta=beta_grid[best],
@@ -355,7 +350,6 @@ def _beta_moment_residuals(
     xs: np.ndarray,
     beta_grid: tuple[float, ...],
     k_grid: tuple[float, ...],
-    log_residuals: bool,
 ) -> list[float]:
     ln_r = _ln_moment_ratios(xs, k_grid)
     for k, value in zip(k_grid, ln_r):
@@ -364,7 +358,7 @@ def _beta_moment_residuals(
     for beta in beta_grid:
         ln_m = np.array([_ln_theoretical_moment_ratio(k, beta) for k in k_grid])
         with np.errstate(all="ignore"):
-            resid = ln_m - ln_r if log_residuals else np.exp(ln_m) - np.exp(ln_r)
+            resid = ln_m - ln_r
             objectives.append(_finite(float(resid @ resid), f"moments objective at beta={beta}"))
     return objectives
 

@@ -12,8 +12,10 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 #: Ceiling on every count: ``h_index``, ``total_citations`` and per-paper
-#: citations.  Below it every float stage stays finite: squares and fourth
-#: powers of deviations (variance, kurtosis), moment ratios up to k = 3.
+#: citations.  Below it the squares and fourth powers of deviations
+#: (variance, kurtosis) stay finite.  Moment ratios are taken in log space
+#: and are refused by name only when R_k itself leaves the double range: one
+#: total at the ceiling among eleven small ones is refused at k = 300.
 MAX_COUNT = 10**50
 
 

@@ -6,6 +6,7 @@ first call that needs them, so importing this module loads no scipy.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -27,10 +28,11 @@ class StretchedExpParams:
     scale: float = 1.0
 
     def __post_init__(self):
-        if self.beta <= 0:
-            raise ValueError(f"beta must be positive, got {self.beta}")
-        if self.scale <= 0:
-            raise ValueError(f"scale must be positive, got {self.scale}")
+        for name, value in (("beta", self.beta), ("scale", self.scale)):
+            if value <= 0:
+                raise ValueError(f"{name} must be positive, got {value}")
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
 
 
 def stretched_exp_cdf(params: StretchedExpParams, x) -> np.ndarray:

@@ -439,28 +439,14 @@ class TestDistfit:
         assert code == 0
         assert out == json.dumps(expected, indent=2) + "\n"
 
-    def test_raw_objective_needs_moments_objective(self, capsys, summary_file):
-        code, _, err = run(
-            capsys, "distfit", summary_file, "--analysis", "beta", "--raw-objective", "--quiet"
-        )
-        assert code == 1
-        assert "--raw-objective" in err and "--objective moments" in err
-        code, out, _ = run(
-            capsys, "distfit", summary_file, "--analysis", "beta", "--raw-objective",
-            "--objective", "moments", "--format", "json", "--quiet",
-        )
-        assert code == 0
-        check_schema(json.loads(out), "distfit_beta")
-
     @pytest.mark.parametrize(
         "flag, analyses",
         [
             (["--objective", "moments"], ["moments", "slope", "giddings", "normality"]),
-            (["--raw-objective"], ["moments", "slope", "giddings", "normality"]),
             (["--beta-grid", "0.2,0.3"], ["slope", "giddings", "normality"]),
             (["--k-grid", "1.0,2.0"], ["slope", "giddings", "normality"]),
         ],
-        ids=["objective", "raw-objective", "beta-grid", "k-grid"],
+        ids=["objective", "beta-grid", "k-grid"],
     )
     def test_inapplicable_option_refused(self, capsys, summary_file, flag, analyses):
         for analysis in analyses:
@@ -647,6 +633,18 @@ class TestSynth:
     def test_bad_beta_is_domain_error(self, capsys):
         code, _, err = run(capsys, "synth", "--beta", "0", "--n", "10")
         assert code == 1
+
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    @pytest.mark.parametrize("flag", ["--beta", "--x0"])
+    def test_non_finite_parameter_refused(self, capsys, flag, value):
+        # at --beta inf the inverse CDF collapses every draw to x0
+        params = {"--beta": "1", "--x0": "1", flag: value}
+        argv = [token for pair in params.items() for token in pair]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "synth", *argv, "--n", "3")
+        assert (code, out) == (1, "")
+        assert err == f"error: {flag} must be finite, got {value}\n"
 
     @pytest.mark.parametrize(
         "argv",

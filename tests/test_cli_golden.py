@@ -6,6 +6,9 @@ code, stdout and stderr of each run must equal ``golden/cli.json``.  After
 an intended output change, re-record the file and review its diff::
 
     PYTHONPATH=src python tests/test_cli_golden.py
+
+Re-recording over an existing file prints the keys it removed, added and
+changed to stderr.
 """
 
 from __future__ import annotations
@@ -128,8 +131,6 @@ def _argvs() -> list[list[str]]:
             ["rank", "flat.json", *f],
             ["rank", "flat.json", "--quiet", *f],
             ["distfit", "groups.json", "--analysis", "beta", "--objective", "moments", *f],
-            ["distfit", "groups.json", "--analysis", "beta", "--objective", "moments",
-             "--raw-objective", "--beta-grid", "0.2:0.3:0.05", "--k-grid", "1,1.5,2", *f],
             ["distfit", "groups.json", "--analysis", "moments",
              "--beta-grid", "0.3,0.5", "--k-grid", "1:2:0.5", *f],
             ["distfit", "groups.json", "--analysis", "giddings", "--binning", "geometric", *f],
@@ -164,7 +165,6 @@ def _argvs() -> list[list[str]]:
         ["rank", "groups.json", "--gini-floor", "0"],
         ["rank", "groups.json", "--ref-size", "99"],
         ["distfit", "groups.json", "--analysis", "slope", "--k-grid", "1,2"],
-        ["distfit", "groups.json", "--analysis", "beta", "--raw-objective"],
         ["distfit", "groups.json", "--analysis", "beta", "--beta-grid", "0.1:inf:0.1"],
         ["distfit", "groups.json", "--analysis", "moments", "--k-grid", "1,x"],
         ["distfit", "groups.json", "--analysis", "moments", "--k-grid", "1:2"],
@@ -197,6 +197,15 @@ def run_all(workdir: Path) -> dict[str, list]:
         os.chdir(previous)
 
 
+def moved_keys(old: dict[str, list], new: dict[str, list]) -> dict[str, list[str]]:
+    """The keys a re-recording removed, added and changed, each in file order."""
+    return {
+        "removed": [key for key in old if key not in new],
+        "added": [key for key in new if key not in old],
+        "changed": [key for key in new if key in old and old[key] != new[key]],
+    }
+
+
 def test_cli_matches_golden(tmp_path):
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
     actual = run_all(tmp_path)
@@ -205,9 +214,22 @@ def test_cli_matches_golden(tmp_path):
         assert actual[key] == expected, key
 
 
+def test_moved_keys():
+    old = {"a": [0, "x", ""], "b": [0, "y", ""], "c": [1, "", "e"]}
+    new = {"a": [0, "x", ""], "c": [1, "", "f"], "d": [0, "z", ""]}
+    assert moved_keys(old, new) == {"removed": ["b"], "added": ["d"], "changed": ["c"]}
+    assert moved_keys(new, new) == {"removed": [], "added": [], "changed": []}
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         results = run_all(Path(tmp))
+    if GOLDEN.exists():
+        previous = json.loads(GOLDEN.read_text(encoding="utf-8"))
+        for label, keys in moved_keys(previous, results).items():
+            print(f"{len(keys)} {label}", file=sys.stderr)
+            for key in keys:
+                print(f"  {key}", file=sys.stderr)
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps(results, indent=1) + "\n", encoding="utf-8")
     print(f"recorded {len(results)} runs to {GOLDEN}", file=sys.stderr)

@@ -1,8 +1,10 @@
 """Distribution analyses: slope, shape fits, peak-shape fit, histograms."""
 
 import math
+import random
 import re
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -32,6 +34,7 @@ from alphaindex.errors import (
     InsufficientDataError,
     ZeroVarianceError,
 )
+from alphaindex.model import MAX_COUNT
 from alphaindex.synth import StretchedExpParams, sample_stretched_exp
 
 REFERENCE_PEAK = GiddingsFit(baseline=0.912, amplitude=1118.453, width=2.518, center=10.44)
@@ -125,6 +128,20 @@ class TestMomentRatios:
         assert empirical_moment_ratio(2000, [7.5] * 16) == pytest.approx(1.0, abs=1e-12)
         assert empirical_moment_ratio(10, [1e50, 2.0, 3.0]) == pytest.approx(3.0**9, rel=1e-12)
 
+    def test_empirical_matches_exact_fraction(self):
+        # at integer k and integer totals R_k is an exact rational; the worst
+        # error on this set is about 5e-14
+        rng = random.Random(13)
+        for _ in range(300):
+            n = rng.randint(2, 200)
+            top = rng.randint(0, 50)
+            totals = [rng.randint(1, 10 ** rng.randint(0, top)) for _ in range(n)]
+            assert max(totals) <= MAX_COUNT
+            for k in (1, 2, 3, 5, 10):
+                exact = Fraction(n ** (k - 1) * sum(x**k for x in totals), sum(totals) ** k)
+                got = empirical_moment_ratio(k, totals)
+                assert abs(Fraction(got) - exact) <= Fraction(1e-12) * exact, (k, totals)
+
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             empirical_moment_ratio(2, [1.0, 0.0])
@@ -160,11 +177,6 @@ class TestFitBeta:
         assert len(fit.objective_per_beta) == len(fit.grid)
         assert fit.objective_per_beta[fit.grid.index(fit.beta)] == min(fit.objective_per_beta)
 
-    def test_raw_space_flag(self):
-        x = sample_stretched_exp(StretchedExpParams(beta=0.28), 50_000, np.random.default_rng(2))
-        fit = fit_beta(x, log_residuals=False, objective="moments")
-        assert fit.beta in DEFAULT_BETA_GRID
-
     def test_moments_objective_unchanged(self):
         x = sample_stretched_exp(StretchedExpParams(beta=0.28), 50_000, np.random.default_rng(1))
         fit = fit_beta(x, objective="moments")
@@ -186,11 +198,6 @@ class TestFitBeta:
         x = np.geomspace(1e60, 1e80, 50)
         fit = fit_beta(x, beta_grid=(0.3, 1.0, 5.0))
         assert all(math.isfinite(v) for v in fit.objective_per_beta)
-
-    def test_likelihood_refuses_raw_residuals(self):
-        x = sample_stretched_exp(StretchedExpParams(beta=0.28), 1_000, np.random.default_rng(2))
-        with pytest.raises(ValueError, match="log_residuals"):
-            fit_beta(x, log_residuals=False)
 
     def test_unknown_objective_refused(self):
         x = sample_stretched_exp(StretchedExpParams(beta=0.28), 1_000, np.random.default_rng(2))
@@ -223,16 +230,13 @@ class TestFitBeta:
     def test_moments_objective_outside_double_range_refused(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for log_residuals in (True, False):
-                # ln R_k is about k * ln 12 here
-                with pytest.raises(ValueError, match="sample log moment ratio at k=1e\\+308"):
-                    fit_beta(
-                        [1e50, *range(1, 12)], k_grid=(1.0, 1e308), objective="moments",
-                        log_residuals=log_residuals,
-                    )
-            # exp of the theoretical log-ratio overflows in raw space
-            with pytest.raises(ValueError, match="moments objective at beta=1e-06"):
-                fit_beta(range(1, 13), beta_grid=(1e-6, 0.3), objective="moments", log_residuals=False)
+            # ln R_k is about k * ln 12 here
+            with pytest.raises(ValueError, match="sample log moment ratio at k=1e\\+308"):
+                fit_beta([1e50, *range(1, 12)], k_grid=(1.0, 1e308), objective="moments")
+            # equal values give ln R_k = 0, but the theoretical log-ratio at
+            # k = 1e200 is so large that its square overflows
+            with pytest.raises(ValueError, match="moments objective at beta=0.2 "):
+                fit_beta([5.0] * 12, k_grid=(1.0, 1e200), objective="moments")
 
 
 class TestGiddingsEval:

@@ -1,5 +1,7 @@
 """Synthetic population generators."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -60,6 +62,11 @@ class TestSampler:
             StretchedExpParams(beta=0.0)
         with pytest.raises(ValueError):
             StretchedExpParams(beta=0.3, scale=-1.0)
+        for value in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="beta must be finite"):
+                StretchedExpParams(beta=value)
+            with pytest.raises(ValueError, match="scale must be finite"):
+                StretchedExpParams(beta=0.3, scale=value)
         with pytest.raises(ValueError):
             sample_stretched_exp(StretchedExpParams(beta=1.0), 0, np.random.default_rng(0))
 
