@@ -1,10 +1,12 @@
 """Rank researcher groups by the alpha-index.
 
 The alpha-index weighs a group's Monte Carlo size-normalized h-index
-("relative h-group") by the homogeneity of its members' h-indexes (the
-complement of the Gini amplifier), producing comparable quality weights for
-committees or boards of different sizes.  Supporting statistics for citation
-and h-index distributions live in :mod:`alphaindex.distribution`.
+("relative h-group") by the homogeneity of its members' h-indexes: the
+relative h-group is divided by the group's Gini coefficient (floored at a
+small positive value), and the weights are normalized to sum to 1, giving
+comparable quality weights for committees or boards of different sizes.
+Supporting statistics for citation and h-index distributions live in
+:mod:`alphaindex.distribution`.
 """
 
 from .distribution import (

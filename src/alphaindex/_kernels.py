@@ -45,16 +45,6 @@ def backend_name() -> str:
     return "numpy"
 
 
-def _mix_scalar(z: int) -> int:
-    """splitmix64 finalizer on a Python int."""
-    z ^= z >> 30
-    z = (z * 0xBF58476D1CE4E5B9) & _MASK64
-    z ^= z >> 27
-    z = (z * 0x94D049BB133111EB) & _MASK64
-    z ^= z >> 31
-    return z
-
-
 def _mix(z: np.ndarray) -> np.ndarray:
     """splitmix64 finalizer, in place on a uint64 array (arithmetic wraps)."""
     z ^= z >> _S30
@@ -90,7 +80,7 @@ def subset_hindex_sum(
     # the swap pass moves them through memory, so a narrow pool is a fast one.
     pool_dtype = next(t for t in (np.int8, np.int16, np.int32, np.int64) if s <= np.iinfo(t).max)
     vals = np.array([v if v < s else s for v in ints], dtype=pool_dtype)
-    base = _mix_scalar((int(seed) + (int(key) + 1) * _GOLDEN) & _MASK64)
+    base = _mix(np.array([(int(seed) + (int(key) + 1) * _GOLDEN) & _MASK64], dtype=np.uint64))
     steps = np.arange(s, dtype=np.intp)
     # state offset of draw t within its sample: (t + 1) * GOLDEN, wrapping
     step_offsets = np.arange(1, s + 1, dtype=np.uint64) * _U_GOLDEN
@@ -101,7 +91,7 @@ def subset_hindex_sum(
     for j0 in range(0, n_samples, chunk):
         m = min(chunk, n_samples - j0)
         state = np.arange(j0 + 1, j0 + m + 1, dtype=np.uint64) * _U_GOLDEN
-        state += np.uint64(base)
+        state += base
         state = _mix(state)
         # row t, column j: mix(state_j + (t + 1) * GOLDEN) % (n - t); draw t adds t
         draws = _mix(step_offsets[:, None] + state[None, :])

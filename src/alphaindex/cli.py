@@ -135,8 +135,7 @@ def _warn_all(args, warnings) -> None:
 
 def _read_dataset(args, rejected: str) -> Dataset:
     """Ingest ``args.input``, warn, and refuse it with ``rejected:`` and the errors."""
-    delimiter = "\t" if args.tab else ","
-    report = ingest.read_dataset_file(args.input, delimiter=delimiter)
+    report = ingest.read_dataset_file(args.input)
     _warn_all(args, report.warnings)
     if not report.ok:
         raise CliError(f"{rejected}:\n  " + "\n  ".join(report.errors))
@@ -471,8 +470,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--quiet", action="store_true", help="suppress warnings on stderr")
 
     reading = argparse.ArgumentParser(add_help=False)
-    reading.add_argument("input", help="dataset file (.json, or CSV in long/summary form)")
-    reading.add_argument("--tab", action="store_true", help="tab-delimited tabular input")
+    reading.add_argument("input", help="dataset file (.json, or long/summary form CSV/TSV)")
 
     parser = argparse.ArgumentParser(
         prog="alphaindex",
@@ -534,15 +532,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        text = _render(args.handler(args), args.format)
+        _emit(args, _render(args.handler(args), args.format))
     except (CliError, AlphaIndexError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        _emit(args, text)
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 2

@@ -596,19 +596,13 @@ def skewness(data: Sequence[float]) -> float:
 # ---------------------------------------------------------------------------
 # Shapiro-Wilk normality test (Royston's approximation, 3 <= n <= 5000)
 
-_SW_TOP1 = (0.0, 0.221157, -0.147981, -2.071190, 4.434685, -2.706056)
-_SW_TOP2 = (0.0, 0.042981, -0.293762, -1.752461, 5.682633, -3.582633)
-_SW_MU_SMALL = (0.5440, -0.39978, 0.025054, -6.714e-4)  # in n, 4 <= n <= 11
-_SW_SIGMA_SMALL = (1.3822, -0.77857, 0.062767, -0.0020322)
-_SW_MU_LARGE = (-1.5861, -0.31082, -0.083751, 0.0038915)  # in ln n, n >= 12
-_SW_SIGMA_LARGE = (-0.4803, -0.082676, 0.0030302)
-
-
-def _poly(coeffs, x: float) -> float:
-    total = 0.0
-    for c in reversed(coeffs):
-        total = total * x + c
-    return total
+# polynomial coefficients, highest degree first as np.polyval takes them
+_SW_TOP1 = (-2.706056, 4.434685, -2.071190, -0.147981, 0.221157, 0.0)
+_SW_TOP2 = (-3.582633, 5.682633, -1.752461, -0.293762, 0.042981, 0.0)
+_SW_MU_SMALL = (-6.714e-4, 0.025054, -0.39978, 0.5440)  # in n, 4 <= n <= 11
+_SW_SIGMA_SMALL = (-0.0020322, 0.062767, -0.77857, 1.3822)
+_SW_MU_LARGE = (0.0038915, -0.083751, -0.31082, -1.5861)  # in ln n, n >= 12
+_SW_SIGMA_LARGE = (0.0030302, -0.082676, -0.4803)
 
 
 @dataclass(frozen=True)
@@ -631,9 +625,9 @@ def _sw_weights(n: int) -> np.ndarray:
     ssq = float(m @ m)
     u = 1.0 / math.sqrt(n)
     a = np.empty(n)
-    a_top = m[-1] / math.sqrt(ssq) + _poly(_SW_TOP1, u)
+    a_top = m[-1] / math.sqrt(ssq) + np.polyval(_SW_TOP1, u)
     if n > 5:
-        a_top2 = m[-2] / math.sqrt(ssq) + _poly(_SW_TOP2, u)
+        a_top2 = m[-2] / math.sqrt(ssq) + np.polyval(_SW_TOP2, u)
         fac = math.sqrt(
             (ssq - 2.0 * m[-1] ** 2 - 2.0 * m[-2] ** 2)
             / (1.0 - 2.0 * a_top**2 - 2.0 * a_top2**2)
@@ -678,14 +672,14 @@ def shapiro_wilk(data: Sequence[float]) -> NormalityReport:
         if y >= gamma:
             p = 0.0
         else:
-            z = (-math.log(gamma - y) - _poly(_SW_MU_SMALL, n)) / math.exp(
-                _poly(_SW_SIGMA_SMALL, n)
+            z = (-math.log(gamma - y) - np.polyval(_SW_MU_SMALL, n)) / math.exp(
+                np.polyval(_SW_SIGMA_SMALL, n)
             )
             p = 0.5 * math.erfc(z / math.sqrt(2.0))
     else:
         ln_n = math.log(n)
-        z = (math.log(1.0 - w) - _poly(_SW_MU_LARGE, ln_n)) / math.exp(
-            _poly(_SW_SIGMA_LARGE, ln_n)
+        z = (math.log(1.0 - w) - np.polyval(_SW_MU_LARGE, ln_n)) / math.exp(
+            np.polyval(_SW_SIGMA_LARGE, ln_n)
         )
         p = 0.5 * math.erfc(z / math.sqrt(2.0))
 

@@ -37,22 +37,20 @@ class IngestReport:
         return self.dataset is not None
 
 
-def _open_rows(source, delimiter: str):
-    """Yield CSV rows from a path or an open file/line iterable."""
-    if isinstance(source, (str, Path)):
-        with open(source, encoding="utf-8-sig", newline="") as fh:
-            yield from csv.reader(fh, delimiter=delimiter)
-    else:
-        yield from csv.reader(source, delimiter=delimiter)
+def _read_header(source, expected, errors: list[str]):
+    """Rows of ``source`` past its header, and the index of each ``expected`` column.
 
-
-def _read_header(source, delimiter: str, expected, errors: list[str]):
-    """Rows of ``source`` past its header, and the index of each ``expected`` column."""
-    rows = iter(_open_rows(source, delimiter))
-    header = next(rows, None)
-    if header is None:
+    The header line decides the delimiter: a tab when it holds a tab and no
+    comma, a comma otherwise.
+    """
+    lines = iter(source)
+    first = next(lines, None)
+    if first is None:
         errors.append("no rows")
-        return rows, None
+        return lines, None
+    delimiter = "\t" if "\t" in first and "," not in first else ","
+    rows = csv.reader(lines, delimiter=delimiter)
+    header = next(csv.reader([first], delimiter=delimiter))
     names = [c.strip() for c in header]
     unknown = [c for c in names if c not in expected]
     missing = [c for c in expected if c not in names]
@@ -76,18 +74,23 @@ def _report(errors: list[str], groups: dict[str, list], warnings: tuple | list =
     return IngestReport(dataset, warnings=tuple(warnings))
 
 
-def read_long_form(source, delimiter: str = ",") -> IngestReport:
+def read_long_form(source) -> IngestReport:
     """Parse per-paper rows ``group_id,researcher_id,paper_id,citations``.
 
-    Rows are grouped by (group, researcher) in first-appearance order;
-    each member's h-index and citation total are computed from its papers.
+    ``source`` is a path or an open file (or any iterable of lines), comma-
+    or tab-delimited.  Rows are grouped by (group, researcher) in
+    first-appearance order; each member's h-index and citation total are
+    computed from its papers.
     """
+    if isinstance(source, (str, Path)):
+        with open(source, encoding="utf-8-sig", newline="") as fh:
+            return read_long_form(fh)
     errors: list[str] = []
     papers: dict[tuple[str, str], list[int]] = {}
     seen_papers: set[tuple[str, str, str]] = set()
     groups: dict[str, list[ResearcherProfile]] = {}
 
-    rows, columns = _read_header(source, delimiter, LONG_FORM_HEADER, errors)
+    rows, columns = _read_header(source, LONG_FORM_HEADER, errors)
     if columns is None:
         return _report(errors, groups)
 
@@ -152,18 +155,22 @@ def _parse_count(raw: str, column: str, lineno: int, errors: list[str]) -> int |
     return value
 
 
-def read_summary_form(source, delimiter: str = ",") -> IngestReport:
+def read_summary_form(source) -> IngestReport:
     """Parse per-researcher rows ``group_id,researcher_id,h_index,total_citations``.
 
-    ``total_citations`` may be empty; such members are kept with a warning
-    since citation-distribution analyses will have to exclude them.
+    ``source`` is as for :func:`read_long_form`.  ``total_citations`` may
+    be empty; such members are kept with a warning since
+    citation-distribution analyses will have to exclude them.
     """
+    if isinstance(source, (str, Path)):
+        with open(source, encoding="utf-8-sig", newline="") as fh:
+            return read_summary_form(fh)
     errors: list[str] = []
     warnings: list[str] = []
     members: dict[str, list[ResearcherProfile]] = {}
     seen: set[tuple[str, str]] = set()
 
-    rows, columns = _read_header(source, delimiter, SUMMARY_FORM_HEADER, errors)
+    rows, columns = _read_header(source, SUMMARY_FORM_HEADER, errors)
     if columns is None:
         return _report(errors, members, warnings)
 
@@ -332,11 +339,12 @@ def _is_count(value) -> bool:
 # format sniffing for file-based workflows
 
 
-def read_dataset_file(path: str | os.PathLike, delimiter: str = ",") -> IngestReport:
+def read_dataset_file(path: str | os.PathLike) -> IngestReport:
     """Load a dataset from a JSON document or a tabular file.
 
     ``.json`` files are parsed as structured documents; anything else is
-    treated as tabular and dispatched on its header row.
+    tabular, read in long form when its header line names ``paper_id`` and
+    in summary form when it names ``h_index``.
     """
     path = Path(path)
     if path.suffix.lower() == ".json":
@@ -349,12 +357,11 @@ def read_dataset_file(path: str | os.PathLike, delimiter: str = ",") -> IngestRe
 
     with open(path, encoding="utf-8-sig", newline="") as fh:
         header_line = fh.readline()
-        names = {c.strip() for c in next(csv.reader([header_line], delimiter=delimiter), [])}
         fh.seek(0)
-        if names == set(LONG_FORM_HEADER):
-            return read_long_form(fh, delimiter)
-        if names == set(SUMMARY_FORM_HEADER):
-            return read_summary_form(fh, delimiter)
+        if "paper_id" in header_line:
+            return read_long_form(fh)
+        if "h_index" in header_line:
+            return read_summary_form(fh)
         return IngestReport(
             None,
             errors=(

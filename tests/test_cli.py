@@ -683,6 +683,48 @@ class TestValidateCommand:
         assert "r" in err
 
 
+@pytest.fixture
+def long_form_file(tmp_path):
+    path = tmp_path / "long.csv"
+    lines = ["group_id,researcher_id,paper_id,citations"]
+    for gi, sizes in enumerate(([9, 4, 7, 1], [3, 12, 5], [6, 6, 2, 8, 1])):
+        for ri, n_papers in enumerate(sizes):
+            lines += [
+                f"g{gi},r{gi}-{ri},p{pi},{(7 * pi + 3 * ri + gi) % 23}" for pi in range(n_papers)
+            ]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
+class TestTabDelimited:
+    """The header line decides the delimiter; no flag selects it."""
+
+    @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+    @pytest.mark.parametrize(
+        "command",
+        [["metrics"], ["rank", "--seed", "3", "--samples", "200"], ["validate"]],
+        ids=lambda c: c[0],
+    )
+    @pytest.mark.parametrize("form", ["summary", "long"])
+    def test_tab_twin_gives_identical_output(
+        self, capsys, tmp_path, summary_file, long_form_file, form, command, fmt
+    ):
+        comma = summary_file if form == "summary" else long_form_file
+        tab = tmp_path / f"{form}.tsv"
+        tab.write_text(comma.read_text(encoding="utf-8").replace(",", "\t"), encoding="utf-8")
+        outputs = [
+            run(capsys, command[0], path, *command[1:], "--format", fmt) for path in (comma, tab)
+        ]
+        assert outputs[0][0] == 0, outputs[0][2]
+        assert outputs[1] == outputs[0]
+
+    def test_tab_flag_is_gone(self, capsys, summary_file):
+        with pytest.raises(SystemExit) as exc:
+            main(["metrics", str(summary_file), "--tab"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --tab" in capsys.readouterr().err
+
+
 class TestOutputDestination:
     def test_output_file_written(self, tmp_path, two_group_file):
         dest = tmp_path / "out.json"
@@ -695,6 +737,12 @@ class TestOutputDestination:
         captured = capsys.readouterr()
         assert code == 2
         assert "i/o error" in captured.err
+
+    def test_invalid_output_path_is_domain_error(self, capsys, summary_file):
+        # open() refuses a path with a NUL byte by ValueError, not OSError
+        code, out, err = run(capsys, "validate", summary_file, "--output", "a\x00b")
+        assert (code, out) == (1, "")
+        assert err == "error: embedded null byte\n"
 
     def test_quiet_suppresses_warnings(self, capsys, tmp_path):
         path = tmp_path / "warn.csv"

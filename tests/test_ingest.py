@@ -144,7 +144,7 @@ class TestSummaryForm:
         report = read_summary_form(rows(
             "group_id\tresearcher_id\th_index\ttotal_citations\n"
             "g\tr\t4\t30\n"
-        ), delimiter="\t")
+        ))
         assert report.ok
 
 
@@ -288,3 +288,13 @@ class TestFileDispatch:
         report = read_dataset_file(path)
         assert not report.ok
         assert any("unrecognized header" in e for e in report.errors)
+
+    def test_near_miss_header_gets_the_readers_message(self, tmp_path):
+        path = tmp_path / "extra.csv"
+        path.write_text(
+            "group_id,researcher_id,h_index,total_citations,extra\ng,r,2,9,x\n", encoding="utf-8"
+        )
+        assert read_dataset_file(path).errors == (
+            "row 1: unknown column(s) ['extra']; expected "
+            "['group_id', 'researcher_id', 'h_index', 'total_citations']",
+        )
