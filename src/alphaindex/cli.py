@@ -274,7 +274,7 @@ def _require_totals(dataset, analysis: str) -> None:
 
 
 def _citation_inputs(args, dataset):
-    """Pooled positive citation totals, then the beta and k grids.
+    """Pooled positive citation totals, then the beta grid.
 
     Missing totals abort; zero totals are excluded with a warning.
     """
@@ -284,22 +284,22 @@ def _citation_inputs(args, dataset):
     excluded = len(values) - len(positive)
     if excluded:
         _warn(args, f"excluded {excluded} zero-citation member(s) from the fit")
-    beta_grid = _parse_grid(args.beta_grid) if args.beta_grid else distribution.DEFAULT_BETA_GRID
-    k_grid = _parse_grid(args.k_grid) if args.k_grid else distribution.DEFAULT_K_GRID
-    return positive, beta_grid, k_grid
+    beta_grid = (
+        distribution.DEFAULT_BETA_GRID if args.beta_grid is None else _parse_grid(args.beta_grid)
+    )
+    return positive, beta_grid
 
 
 # distfit options that only some analyses read; any other analysis refuses them
 _DISTFIT_OPTION_ANALYSES = {
-    "objective": ("--objective", ("beta",)),
     "beta_grid": ("--beta-grid", ("beta", "moments")),
-    "k_grid": ("--k-grid", ("beta", "moments")),
+    "k_grid": ("--k-grid", ("moments",)),
 }
 
 
 def _cmd_distfit(args) -> Result:
     for attr, (flag, analyses) in _DISTFIT_OPTION_ANALYSES.items():
-        if getattr(args, attr) not in (None, False) and args.analysis not in analyses:
+        if getattr(args, attr) is not None and args.analysis not in analyses:
             raise CliError(
                 f"{flag} does not apply to --analysis {args.analysis}; "
                 f"it applies to --analysis {' or '.join(analyses)}"
@@ -332,15 +332,12 @@ def _distfit_slope(args, dataset) -> Result:
 
 
 def _distfit_beta(args, dataset) -> Result:
-    values, beta_grid, k_grid = _citation_inputs(args, dataset)
-    fit = distribution.fit_beta(
-        values, beta_grid, k_grid, objective=args.objective or "likelihood"
-    )
+    values, beta_grid = _citation_inputs(args, dataset)
+    fit = distribution.fit_beta(values, beta_grid)
     doc = {
         "beta": fit.beta,
         "grid": list(fit.grid),
         "objective_per_beta": list(fit.objective_per_beta),
-        "k_grid": list(fit.k_grid),
     }
     headers = ["beta", "objective"]
     rows = list(zip(fit.grid, fit.objective_per_beta))
@@ -388,7 +385,8 @@ def _distfit_normality(args, dataset) -> Result:
 
 
 def _distfit_moments(args, dataset) -> Result:
-    values, beta_grid, k_grid = _citation_inputs(args, dataset)
+    values, beta_grid = _citation_inputs(args, dataset)
+    k_grid = distribution.DEFAULT_K_GRID if args.k_grid is None else _parse_grid(args.k_grid)
     # one float array for every k, not one list conversion per call
     xs = np.asarray(values, dtype=float)
     empirical = [distribution.empirical_moment_ratio(k, xs) for k in k_grid]
@@ -506,12 +504,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bin-ratio", type=float, default=2.0)
     p.add_argument("--beta-grid", default=None, help="start:stop:step or comma list")
     p.add_argument("--k-grid", default=None, help="start:stop:step or comma list")
-    p.add_argument(
-        "--objective",
-        choices=distribution.BETA_OBJECTIVES,
-        default=None,
-        help="shape-fit objective: profile likelihood (default) or moment ratios",
-    )
     p.set_defaults(handler=_cmd_distfit)
 
     p = sub.add_parser("synth", parents=[common], help="synthetic stretched-exponential sample")

@@ -2,11 +2,11 @@
 
 Covers the statistical toolbox used around group ranking: the log-log
 citations-vs-h slope, stretched-exponential shape estimation (profile
-likelihood over a beta grid, or moment ratios computed in log space), a
-Giddings peak-shape fit for h-index histograms (baseline and amplitude in
-closed form; width and center by one grid over a box bounded by the data,
-then one simplex run, with a peak on the box's edge refused by name; the
-Bessel function I1 from ``scipy.special``),
+likelihood over a beta grid), sample and theoretical moment ratios
+(computed in log space), a Giddings peak-shape fit for h-index histograms
+(baseline and amplitude in closed form; width and center by one grid over a
+box bounded by the data, then one simplex run, with a peak on the box's edge
+refused by name; the Bessel function I1 from ``scipy.special``),
 excess kurtosis and skewness, a Shapiro-Wilk normality test in Royston's
 extended form (3 <= n <= 5000), and histogram construction with linear or
 geometric bins.
@@ -165,15 +165,13 @@ def power_law_slope(pairs: Sequence[tuple[int, int]]) -> PowerLawFit:
 # ---------------------------------------------------------------------------
 # stretched-exponential shape over a beta grid
 #
-# For the density ~ exp(-(x/x0)^beta) the scale x0 drops out of two
-# objectives.  Profile likelihood: x0 has the closed-form maximum
-# x0^beta = beta * <x^beta>, leaving a likelihood in beta alone.  Moment
-# ratios: <x^k>/<x>^k is independent of x0 and is compared with its
-# theoretical value over a k grid.
+# For the density ~ exp(-(x/x0)^beta) the scale x0 has the closed-form
+# maximum likelihood x0^beta = beta * <x^beta>, leaving a profile likelihood
+# in beta alone.  The moment ratio <x^k>/<x>^k is independent of x0 too; its
+# sample and theoretical values are reported side by side as a diagnostic.
 
 DEFAULT_BETA_GRID = tuple(round(0.20 + 0.02 * i, 2) for i in range(8))
 DEFAULT_K_GRID = tuple(round(1.0 + 0.1 * i, 1) for i in range(21))
-BETA_OBJECTIVES = ("likelihood", "moments")
 # Smallest grid beta of fit_beta: below it -ln(beta)/beta and -lnGamma(1/beta)
 # cancel in the likelihood (relative error 1e-10 at 1e-6, 2e-4 at 1e-12).
 _MIN_BETA = 1e-6
@@ -184,17 +182,6 @@ def _finite(value: float, what: str) -> float:
     if not math.isfinite(value):
         raise ValueError(f"{what} is not a finite double")
     return value
-
-
-def _ln_theoretical_moment_ratio(k: float, beta: float) -> float:
-    try:
-        return (
-            math.lgamma((k + 1) / beta)
-            + (k - 1) * math.lgamma(1 / beta)
-            - k * math.lgamma(2 / beta)
-        )
-    except OverflowError:  # a log-gamma term left the double range
-        return math.inf
 
 
 def theoretical_moment_ratio(k: float, beta: float) -> float:
@@ -209,21 +196,14 @@ def theoretical_moment_ratio(k: float, beta: float) -> float:
     if beta <= 0:
         raise ValueError(f"beta must be positive, got {beta}")
     try:
-        ratio = math.exp(_ln_theoretical_moment_ratio(k, beta))
-    except OverflowError:
+        ratio = math.exp(
+            math.lgamma((k + 1) / beta)
+            + (k - 1) * math.lgamma(1 / beta)
+            - k * math.lgamma(2 / beta)
+        )
+    except OverflowError:  # a log-gamma term or the ratio left the double range
         ratio = math.inf
     return _finite(ratio, f"moment ratio at k={k}, beta={beta}")
-
-
-def _ln_moment_ratios(xs: np.ndarray, k_grid: Sequence[float]) -> np.ndarray:
-    # ln R_k = ln mean(x^k) - k * ln mean(x), with x scaled by its maximum:
-    # the scale cancels in R_k, the scaled powers lie in (0, 1] and each
-    # mean is at least 1/n, so no power overflows and no log sees 0.  At
-    # k = 1 both terms are the same float, so ln R_1 is exactly 0.
-    shifted = np.log(xs) - math.log(float(xs.max()))
-    with np.errstate(over="ignore"):  # k * shifted may reach -inf; exp gives 0
-        ln_means = [math.log(float(np.exp(k * shifted).mean())) for k in (1.0, *k_grid)]
-    return np.array([ln_mean - k * ln_means[0] for k, ln_mean in zip(k_grid, ln_means[1:])])
 
 
 def empirical_moment_ratio(k: float, data: Sequence[float]) -> float:
@@ -243,9 +223,15 @@ def empirical_moment_ratio(k: float, data: Sequence[float]) -> float:
         raise InsufficientDataError("moment ratio of an empty sample")
     if np.any(xs <= 0):
         raise ValueError("moment ratios require strictly positive data")
-    (ln_ratio,) = _ln_moment_ratios(xs, (k,))
+    # ln R_k = ln mean(x^k) - k * ln mean(x), with x scaled by its maximum:
+    # the scale cancels in R_k, the scaled powers lie in (0, 1] and each
+    # mean is at least 1/n, so no power overflows and no log sees 0.  At
+    # k = 1 both terms are the same float, so ln R_1 is exactly 0.
+    shifted = np.log(xs) - math.log(float(xs.max()))
+    with np.errstate(over="ignore"):  # k * shifted may reach -inf; exp gives 0
+        ln_mean_1, ln_mean_k = (math.log(float(np.exp(p * shifted).mean())) for p in (1.0, k))
     try:
-        ratio = math.exp(ln_ratio)
+        ratio = math.exp(ln_mean_k - k * ln_mean_1)
     except OverflowError:
         ratio = math.inf
     return _finite(ratio, f"sample moment ratio at k={k}")
@@ -258,70 +244,48 @@ class StretchedExpFit:
     beta: float
     grid: tuple[float, ...]
     objective_per_beta: tuple[float, ...]
-    k_grid: tuple[float, ...]
 
 
 def fit_beta(
     data: Sequence[float],
     beta_grid: Sequence[float] = DEFAULT_BETA_GRID,
-    k_grid: Sequence[float] = DEFAULT_K_GRID,
-    objective: str = "likelihood",
 ) -> StretchedExpFit:
-    """Pick the grid beta that minimizes ``objective`` on the sample.
+    """Pick the grid beta that minimizes the profile negative log-likelihood.
 
-    ``"likelihood"`` (the default) scores each grid beta by the negative
-    log-likelihood per draw of the density
-    ``beta / (x0 * Gamma(1/beta)) * exp(-(x/x0)^beta)`` at the scale's
-    closed-form maximum ``x0^beta = beta * mean(x^beta)``:
+    Each grid beta is scored by the negative log-likelihood per draw of the
+    density ``beta / (x0 * Gamma(1/beta)) * exp(-(x/x0)^beta)`` at the
+    scale's closed-form maximum ``x0^beta = beta * mean(x^beta)``:
 
         nll(beta) = -[ln beta - ln(beta * mean(x^beta)) / beta
                       - lnGamma(1/beta) - 1/beta].
 
     The likelihood treats the data as continuous.  On the positive integers
     of ``synth --round`` at unit scale (x0=1, beta=0.28, 1e5 draws, seeds
-    0-19) it missed 0.28 in all 20 seeds (0.30 in 19, 0.32 in 1), where the
-    moment ratios hit 0.28 in 10; at x0 = 10 and x0 = 100 it hit 0.28 in
-    20 of 20.
-
-    ``"moments"`` sums squared residuals between the theoretical and the
-    sample moment ratios over the k grid.  Residuals are taken in log space:
-    the ratios span orders of magnitude across k, and raw residuals would
-    let the largest k dominate.  ``k_grid`` is validated and echoed under
-    either objective.
-    Grid betas below 1e-6 are refused (the likelihood loses its precision),
-    and so is a non-finite moments objective or sample log moment ratio.
+    0-19) it missed 0.28 in all 20 seeds (0.30 in 19, 0.32 in 1); at
+    x0 = 10 and x0 = 100 it hit 0.28 in 20 of 20.
+    Grid betas below 1e-6 are refused (the likelihood loses its precision).
     """
-    if objective not in BETA_OBJECTIVES:
-        raise ValueError(f"unknown objective {objective!r}; expected one of {BETA_OBJECTIVES}")
     xs = np.asarray(data, dtype=float)
     if xs.size < 10:
         raise InsufficientDataError(f"shape fit needs n >= 10, got {xs.size}")
     if np.any(xs <= 0):
         raise ValueError("shape fit requires strictly positive data")
     beta_grid = tuple(float(b) for b in beta_grid)
-    k_grid = tuple(float(k) for k in k_grid)
-    if not beta_grid or not k_grid:
-        raise ValueError("beta_grid and k_grid must be non-empty")
-    for grid_name, grid in (("beta", beta_grid), ("k", k_grid)):
-        for value in grid:
-            _finite(value, f"{grid_name} grid value {value}")
+    if not beta_grid:
+        raise ValueError("beta_grid must be non-empty")
+    for value in beta_grid:
+        _finite(value, f"beta grid value {value}")
     if any(b <= 0 for b in beta_grid):
         raise ValueError("beta grid values must be positive")
     if min(beta_grid) < _MIN_BETA:
         raise ValueError(f"beta grid values must be at least {_MIN_BETA:g}, got {min(beta_grid)}")
-    if any(k < 1 for k in k_grid):
-        raise ValueError("k grid values must be >= 1")
 
-    if objective == "likelihood":
-        objectives = _beta_nll(xs, beta_grid)
-    else:
-        objectives = _beta_moment_residuals(xs, beta_grid, k_grid)
+    objectives = _beta_nll(xs, beta_grid)
     best = int(np.argmin(objectives))
     return StretchedExpFit(
         beta=beta_grid[best],
         grid=beta_grid,
         objective_per_beta=tuple(objectives),
-        k_grid=k_grid,
     )
 
 
@@ -343,23 +307,6 @@ def _beta_nll(xs: np.ndarray, beta_grid: tuple[float, ...]) -> list[float]:
             - 1 / beta
         )
         objectives.append(-loglik)
-    return objectives
-
-
-def _beta_moment_residuals(
-    xs: np.ndarray,
-    beta_grid: tuple[float, ...],
-    k_grid: tuple[float, ...],
-) -> list[float]:
-    ln_r = _ln_moment_ratios(xs, k_grid)
-    for k, value in zip(k_grid, ln_r):
-        _finite(value, f"sample log moment ratio at k={k}")
-    objectives = []
-    for beta in beta_grid:
-        ln_m = np.array([_ln_theoretical_moment_ratio(k, beta) for k in k_grid])
-        with np.errstate(all="ignore"):
-            resid = ln_m - ln_r
-            objectives.append(_finite(float(resid @ resid), f"moments objective at beta={beta}"))
     return objectives
 
 

@@ -50,7 +50,11 @@ def _read_header(source, expected, errors: list[str]):
         return lines, None
     delimiter = "\t" if "\t" in first and "," not in first else ","
     rows = csv.reader(lines, delimiter=delimiter)
-    header = next(csv.reader([first], delimiter=delimiter))
+    try:
+        header = next(csv.reader([first], delimiter=delimiter))
+    except csv.Error as exc:  # e.g. a field past csv.field_size_limit()
+        errors.append(f"row 1: {exc}")
+        return rows, None
     names = [c.strip() for c in header]
     unknown = [c for c in names if c not in expected]
     missing = [c for c in expected if c not in names]
@@ -96,25 +100,29 @@ def read_long_form(source) -> IngestReport:
 
     g_col, r_col, p_col, c_col = columns
     lineno = 1
-    for lineno, row in enumerate(rows, start=2):
-        if len(row) != len(LONG_FORM_HEADER):
-            errors.append(f"row {lineno}: expected {len(LONG_FORM_HEADER)} fields, got {len(row)}")
-            continue
-        gid = row[g_col].strip()
-        rid = row[r_col].strip()
-        pid = row[p_col].strip()
-        raw = row[c_col].strip()
-        if not gid or not rid or not pid:
-            errors.append(f"row {lineno}: blank group_id, researcher_id, or paper_id")
-            continue
-        cites = _parse_count(raw, "citations", lineno, errors)
-        if cites is None:
-            continue
-        if (gid, rid, pid) in seen_papers:
-            errors.append(f"row {lineno}: duplicate paper {pid!r} for {rid!r} in {gid!r}")
-            continue
-        seen_papers.add((gid, rid, pid))
-        papers.setdefault((gid, rid), []).append(cites)
+    try:
+        for lineno, row in enumerate(rows, start=2):
+            if len(row) != len(LONG_FORM_HEADER):
+                errors.append(f"row {lineno}: expected {len(LONG_FORM_HEADER)} fields, got {len(row)}")
+                continue
+            gid = row[g_col].strip()
+            rid = row[r_col].strip()
+            pid = row[p_col].strip()
+            raw = row[c_col].strip()
+            if not gid or not rid or not pid:
+                errors.append(f"row {lineno}: blank group_id, researcher_id, or paper_id")
+                continue
+            cites = _parse_count(raw, "citations", lineno, errors)
+            if cites is None:
+                continue
+            if (gid, rid, pid) in seen_papers:
+                errors.append(f"row {lineno}: duplicate paper {pid!r} for {rid!r} in {gid!r}")
+                continue
+            seen_papers.add((gid, rid, pid))
+            papers.setdefault((gid, rid), []).append(cites)
+    except csv.Error as exc:  # e.g. a field past csv.field_size_limit()
+        lineno += 1
+        errors.append(f"row {lineno}: {exc}")
 
     if lineno == 1:
         errors.append("no data rows")
@@ -142,7 +150,7 @@ def _parse_count(raw: str, column: str, lineno: int, errors: list[str]) -> int |
     try:
         value = int(raw)
     except ValueError:
-        if not raw.isdigit():
+        if not (raw.isascii() and raw.isdigit()):
             errors.append(f"row {lineno}: {column} {raw!r} is not an integer")
             return None
         value = MAX_COUNT + 1  # too many digits for int(), so past the ceiling
@@ -176,42 +184,46 @@ def read_summary_form(source) -> IngestReport:
 
     g_col, r_col, h_col, t_col = columns
     lineno = 1
-    for lineno, row in enumerate(rows, start=2):
-        if len(row) != len(SUMMARY_FORM_HEADER):
-            errors.append(f"row {lineno}: expected {len(SUMMARY_FORM_HEADER)} fields, got {len(row)}")
-            continue
-        gid = row[g_col].strip()
-        rid = row[r_col].strip()
-        h_raw = row[h_col].strip()
-        total_raw = row[t_col].strip()
-        if not gid or not rid:
-            errors.append(f"row {lineno}: blank group_id or researcher_id")
-            continue
-        h = _parse_count(h_raw, "h_index", lineno, errors)
-        if h is None:
-            continue
-        total: int | None = None
-        if total_raw:
-            total = _parse_count(total_raw, "total_citations", lineno, errors)
-            if total is None:
+    try:
+        for lineno, row in enumerate(rows, start=2):
+            if len(row) != len(SUMMARY_FORM_HEADER):
+                errors.append(f"row {lineno}: expected {len(SUMMARY_FORM_HEADER)} fields, got {len(row)}")
                 continue
-            if h > total:
-                errors.append(
-                    f"row {lineno}: h_index {h} exceeds total_citations {total}"
+            gid = row[g_col].strip()
+            rid = row[r_col].strip()
+            h_raw = row[h_col].strip()
+            total_raw = row[t_col].strip()
+            if not gid or not rid:
+                errors.append(f"row {lineno}: blank group_id or researcher_id")
+                continue
+            h = _parse_count(h_raw, "h_index", lineno, errors)
+            if h is None:
+                continue
+            total: int | None = None
+            if total_raw:
+                total = _parse_count(total_raw, "total_citations", lineno, errors)
+                if total is None:
+                    continue
+                if h > total:
+                    errors.append(
+                        f"row {lineno}: h_index {h} exceeds total_citations {total}"
+                    )
+                    continue
+            else:
+                warnings.append(
+                    f"row {lineno}: {rid!r} has no total_citations; "
+                    "citation-distribution analyses will exclude this member"
                 )
+            if (gid, rid) in seen:
+                errors.append(f"row {lineno}: duplicate researcher {rid!r} in group {gid!r}")
                 continue
-        else:
-            warnings.append(
-                f"row {lineno}: {rid!r} has no total_citations; "
-                "citation-distribution analyses will exclude this member"
+            seen.add((gid, rid))
+            members.setdefault(gid, []).append(
+                ResearcherProfile(id=rid, h_index=h, total_citations=total)
             )
-        if (gid, rid) in seen:
-            errors.append(f"row {lineno}: duplicate researcher {rid!r} in group {gid!r}")
-            continue
-        seen.add((gid, rid))
-        members.setdefault(gid, []).append(
-            ResearcherProfile(id=rid, h_index=h, total_citations=total)
-        )
+    except csv.Error as exc:  # e.g. a field past csv.field_size_limit()
+        lineno += 1
+        errors.append(f"row {lineno}: {exc}")
 
     if lineno == 1:
         errors.append("no data rows")
@@ -351,7 +363,7 @@ def read_dataset_file(path: str | os.PathLike) -> IngestReport:
         try:
             with open(path, encoding="utf-8-sig") as fh:
                 document = json.load(fh)
-        except ValueError as exc:  # also integers past Python's digit limit
+        except (ValueError, RecursionError) as exc:  # also too many digits or too deep
             return IngestReport(None, errors=(f"invalid JSON: {exc}",))
         return read_dataset(document)
 

@@ -195,12 +195,13 @@ def test_criterion_07_beta_recovery():
     """Exact-grid recovery of the generating shape from 1e5 inverse-CDF
     draws, demanded in at least 95 of 100 seeds at both generator settings.
 
-    Kept deliberately strict rather than loosened.  The moment-ratio
-    objective (``objective="moments"``) is consistent but, at 1e5 draws, its
-    heavy-tailed k -> 3 sample moments land on the true grid point in only
-    71 and 58 of these seeds, the misses on the adjacent grid values.  The
-    default profile likelihood uses the same draws efficiently and hits
-    100/100 at both settings."""
+    Kept deliberately strict rather than loosened.  The bar was set when
+    ``fit_beta`` also offered a moment-ratio objective: consistent, but at
+    1e5 draws its heavy-tailed k -> 3 sample moments landed on the true
+    grid point in only 71 and 58 of these seeds, the misses on the adjacent
+    grid values, and that objective was later deleted.  The profile
+    likelihood uses the same draws efficiently and hits 100/100 at both
+    settings."""
     start = time.perf_counter()
     hits = {}
     for true_beta in (0.28, 0.20):

@@ -141,14 +141,14 @@ class TestParserReuse:
         assert provenance["n_samples"] == 1000
 
     def test_distfit_objective_does_not_carry_over(self, capsys, summary_file):
-        code, _, _ = run(capsys, "distfit", summary_file, "--analysis", "beta",
-                         "--objective", "moments", "--format", "json")
+        code, _, _ = run(capsys, "distfit", summary_file, "--analysis", "moments",
+                         "--k-grid", "1,2", "--format", "json")
         assert code == 0
-        # moments refuses --objective, so a leaked value would exit 1
-        code, out, err = run(capsys, "distfit", summary_file, "--analysis", "moments",
+        # beta refuses --k-grid, so a leaked value would exit 1
+        code, out, err = run(capsys, "distfit", summary_file, "--analysis", "beta",
                              "--format", "json")
         assert code == 0, err
-        assert json.loads(out)["k_grid"]
+        assert json.loads(out)["grid"]
 
 
 class TestMetrics:
@@ -396,66 +396,52 @@ class TestDistfit:
     def test_beta_grid_flags(self, capsys, summary_file):
         code, out, _ = run(
             capsys, "distfit", summary_file, "--analysis", "beta",
-            "--beta-grid", "0.2:0.3:0.05", "--k-grid", "1.0,1.5,2.0",
-            "--format", "json", "--quiet",
+            "--beta-grid", "0.2:0.3:0.05", "--format", "json", "--quiet",
         )
         assert code == 0
         doc = json.loads(out)
         assert doc["grid"] == [0.2, 0.25, 0.3]
-        assert doc["k_grid"] == [1.0, 1.5, 2.0]
-
-    def test_beta_moments_objective_unchanged(self, capsys, tmp_path):
-        from alphaindex.distribution import DEFAULT_BETA_GRID, DEFAULT_K_GRID
-        from alphaindex.synth import StretchedExpParams, sample_stretched_exp
-
-        # the seed-1, 50k-draw beta=0.28 sample as integer totals at 1e6 scale;
-        # expected output recorded when moment ratios were the only objective,
-        # re-recorded when the sample ratio moved to log space (each value
-        # moved by at most 8.2e-14 relative)
-        x = sample_stretched_exp(StretchedExpParams(beta=0.28), 50_000, np.random.default_rng(1))
-        lines = ["group_id,researcher_id,h_index,total_citations"]
-        lines += [f"g,r{i},0,{c}" for i, c in enumerate(np.rint(x * 1e6).astype(int))]
-        data = tmp_path / "pinned.csv"
-        data.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        expected = {
-            "beta": 0.3,
-            "grid": list(DEFAULT_BETA_GRID),
-            "objective_per_beta": [
-                26.704732928961565,
-                13.408199708763506,
-                5.7960398188061095,
-                1.815142220903287,
-                0.195691460758095,
-                0.12887680267650975,
-                1.0869733270640296,
-                2.718834065969519,
-            ],
-            "k_grid": list(DEFAULT_K_GRID),
-        }
-        code, out, _ = run(
-            capsys, "distfit", data, "--analysis", "beta", "--objective", "moments",
-            "--format", "json", "--quiet",
-        )
-        assert code == 0
-        assert out == json.dumps(expected, indent=2) + "\n"
 
     @pytest.mark.parametrize(
-        "flag, analyses",
+        "flag, analyses, applies",
         [
-            (["--objective", "moments"], ["moments", "slope", "giddings", "normality"]),
-            (["--beta-grid", "0.2,0.3"], ["slope", "giddings", "normality"]),
-            (["--k-grid", "1.0,2.0"], ["slope", "giddings", "normality"]),
+            (["--beta-grid", "0.2,0.3"], ["slope", "giddings", "normality"], "beta or moments"),
+            (["--k-grid", "1.0,2.0"], ["beta", "slope", "giddings", "normality"], "moments"),
         ],
-        ids=["objective", "beta-grid", "k-grid"],
+        ids=["beta-grid", "k-grid"],
     )
-    def test_inapplicable_option_refused(self, capsys, summary_file, flag, analyses):
+    def test_inapplicable_option_refused(self, capsys, summary_file, flag, analyses, applies):
         for analysis in analyses:
             code, out, err = run(
                 capsys, "distfit", summary_file, "--analysis", analysis, *flag, "--quiet"
             )
             assert code == 1, analysis
             assert out == ""
-            assert flag[0] in err and f"--analysis {analysis}" in err
+            assert err == (
+                f"error: {flag[0]} does not apply to --analysis {analysis}; "
+                f"it applies to --analysis {applies}\n"
+            )
+
+    def test_objective_flag_is_gone(self, capsys, summary_file):
+        with pytest.raises(SystemExit) as exc:
+            main(["distfit", str(summary_file), "--analysis", "beta", "--objective", "moments"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --objective moments" in capsys.readouterr().err
+
+    def test_beta_json_keys(self, capsys, summary_file):
+        code, out, _ = run(
+            capsys, "distfit", summary_file, "--analysis", "beta", "--format", "json", "--quiet"
+        )
+        assert code == 0
+        assert set(json.loads(out)) == {"beta", "grid", "objective_per_beta"}
+
+    @pytest.mark.parametrize("flag", ["--beta-grid", "--k-grid"])
+    def test_empty_grid_spec_refused(self, capsys, summary_file, flag):
+        code, out, err = run(
+            capsys, "distfit", summary_file, "--analysis", "moments", f"{flag}=", "--quiet"
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: grid '' is not a comma list of numbers\n"
 
     @pytest.mark.parametrize(
         "spec, reason",
@@ -476,7 +462,7 @@ class TestDistfit:
         monkeypatch.setattr(cli, "round", lambda *a: pytest.fail("grid was built"), raising=False)
         for flag in ("--beta-grid", "--k-grid"):
             code, _, err = run(
-                capsys, "distfit", summary_file, "--analysis", "beta", f"{flag}={spec}", "--quiet"
+                capsys, "distfit", summary_file, "--analysis", "moments", f"{flag}={spec}", "--quiet"
             )
             assert code == 1
             assert spec in err and reason in err
@@ -495,9 +481,8 @@ class TestDistfit:
             (500, ["moments", "--k-grid", "1,1e300"], "sample moment ratio at k=1e+300"),
             # R_k is about 12 ** (k - 1) at the count ceiling, ln R_k about k * ln 12
             (10**50, ["moments", "--k-grid", "1,300", "--format", "json"], "k=300.0"),
-            (10**50, ["beta", "--objective", "moments", "--k-grid", "1,1e308"], "k=1e+308"),
         ],
-        ids=["theoretical", "empirical", "ceiling-moments", "ceiling-objective"],
+        ids=["theoretical", "empirical", "ceiling-moments"],
     )
     def test_moment_ratio_outside_double_range(self, capsys, tmp_path, total, argv, named):
         lines = ["group_id,researcher_id,h_index,total_citations", f"g,r0,3,{total}"]
@@ -665,6 +650,22 @@ class TestSynth:
 
 
 class TestValidateCommand:
+    @pytest.mark.parametrize(
+        "name, text, named",
+        [
+            ("big.csv", "group_id,researcher_id,h_index,total_citations\ng,r,{big},5\n",
+             "row 2: field larger than field limit"),
+            ("deep.json", '{{"groups": ' + "[" * 200_000, "invalid JSON: "),
+        ],
+        ids=["csv-field-limit", "json-nesting"],
+    )
+    def test_parser_limits_exit_one(self, capsys, tmp_path, name, text, named):
+        path = tmp_path / name
+        path.write_text(text.format(big="1" * 200_000), encoding="utf-8")
+        code, out, err = run(capsys, "validate", path)
+        assert (code, out) == (1, "")
+        assert named in err and "Traceback" not in err
+
     def test_valid_dataset(self, capsys, summary_file):
         code, out, _ = run(capsys, "validate", summary_file, "--format", "json")
         assert code == 0

@@ -130,7 +130,6 @@ def _argvs() -> list[list[str]]:
             ["rank", "groups.json", "--seed", "8", "--samples", "50", "--ref-size", "5", *f],
             ["rank", "flat.json", *f],
             ["rank", "flat.json", "--quiet", *f],
-            ["distfit", "groups.json", "--analysis", "beta", "--objective", "moments", *f],
             ["distfit", "groups.json", "--analysis", "moments",
              "--beta-grid", "0.3,0.5", "--k-grid", "1:2:0.5", *f],
             ["distfit", "groups.json", "--analysis", "giddings", "--binning", "geometric", *f],

@@ -13,9 +13,7 @@ from scipy.stats import gennorm
 
 from alphaindex import distribution
 from alphaindex.distribution import (
-    BETA_OBJECTIVES,
     DEFAULT_BETA_GRID,
-    DEFAULT_K_GRID,
     GiddingsFit,
     Histogram,
     build_histogram,
@@ -40,20 +38,6 @@ from alphaindex.synth import StretchedExpParams, sample_stretched_exp
 REFERENCE_PEAK = GiddingsFit(baseline=0.912, amplitude=1118.453, width=2.518, center=10.44)
 # independent high-precision evaluation (40-digit arithmetic) at h == center
 REFERENCE_PEAK_VALUE_AT_CENTER = 59.547442820128905
-# moment-ratio objective per default grid beta on the seed-1, 50k-draw
-# beta=0.28 sample, recorded when moment ratios were fit_beta's only objective
-# and re-recorded when the sample ratio moved to log space (each value moved
-# by at most 8.6e-14 relative)
-MOMENTS_OBJECTIVE_SEED1 = (
-    26.704732928384335,
-    13.40819970835498,
-    5.796039818538112,
-    1.8151422207541434,
-    0.19569146071077614,
-    0.1288768027173924,
-    1.0869733271820452,
-    2.7188340661555523,
-)
 
 
 class TestPowerLawSlope:
@@ -173,15 +157,8 @@ class TestFitBeta:
         x = sample_stretched_exp(StretchedExpParams(beta=0.28), 50_000, np.random.default_rng(1))
         fit = fit_beta(x)
         assert fit.grid == DEFAULT_BETA_GRID
-        assert fit.k_grid == DEFAULT_K_GRID
         assert len(fit.objective_per_beta) == len(fit.grid)
         assert fit.objective_per_beta[fit.grid.index(fit.beta)] == min(fit.objective_per_beta)
-
-    def test_moments_objective_unchanged(self):
-        x = sample_stretched_exp(StretchedExpParams(beta=0.28), 50_000, np.random.default_rng(1))
-        fit = fit_beta(x, objective="moments")
-        assert fit.objective_per_beta == MOMENTS_OBJECTIVE_SEED1
-        assert fit.beta == 0.3
 
     def test_likelihood_matches_half_generalized_normal(self):
         # the density is twice scipy's generalized normal on x > 0, evaluated
@@ -199,10 +176,11 @@ class TestFitBeta:
         fit = fit_beta(x, beta_grid=(0.3, 1.0, 5.0))
         assert all(math.isfinite(v) for v in fit.objective_per_beta)
 
-    def test_unknown_objective_refused(self):
+    @pytest.mark.parametrize("kwargs", [{"objective": "moments"}, {"k_grid": (1.0, 2.0)}])
+    def test_likelihood_is_the_only_objective(self, kwargs):
         x = sample_stretched_exp(StretchedExpParams(beta=0.28), 1_000, np.random.default_rng(2))
-        with pytest.raises(ValueError, match="objective"):
-            fit_beta(x, objective="least-squares")
+        with pytest.raises(TypeError):
+            fit_beta(x, **kwargs)
 
     def test_needs_ten_points(self):
         with pytest.raises(InsufficientDataError):
@@ -212,31 +190,14 @@ class TestFitBeta:
         x = sample_stretched_exp(StretchedExpParams(beta=0.28), 1_000, np.random.default_rng(2))
         with pytest.raises(ValueError, match="must be positive"):
             fit_beta(x, beta_grid=(0.0, 0.3))
-        for objective in BETA_OBJECTIVES:
-            with pytest.raises(ValueError, match="at least 1e-06, got 1e-300"):
-                fit_beta(x, beta_grid=(1e-300, 0.3), objective=objective)
+        with pytest.raises(ValueError, match="at least 1e-06, got 1e-300"):
+            fit_beta(x, beta_grid=(1e-300, 0.3))
         assert fit_beta(x, beta_grid=(1e-6, 0.3)).grid == (1e-6, 0.3)
 
     def test_non_finite_beta_grid_value_refused(self):
         for value in (math.nan, math.inf):
             with pytest.raises(ValueError, match=f"beta grid value {value} is not a finite double"):
                 fit_beta(np.arange(1, 30), beta_grid=(value, 0.3))
-
-    def test_non_finite_k_grid_value_refused(self):
-        for value in (math.nan, math.inf):
-            with pytest.raises(ValueError, match=f"k grid value {value} is not a finite double"):
-                fit_beta(np.arange(1, 30), k_grid=(1.0, value))
-
-    def test_moments_objective_outside_double_range_refused(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            # ln R_k is about k * ln 12 here
-            with pytest.raises(ValueError, match="sample log moment ratio at k=1e\\+308"):
-                fit_beta([1e50, *range(1, 12)], k_grid=(1.0, 1e308), objective="moments")
-            # equal values give ln R_k = 0, but the theoretical log-ratio at
-            # k = 1e200 is so large that its square overflows
-            with pytest.raises(ValueError, match="moments objective at beta=0.2 "):
-                fit_beta([5.0] * 12, k_grid=(1.0, 1e200), objective="moments")
 
 
 class TestGiddingsEval:

@@ -1,5 +1,6 @@
 """Tabular and JSON ingest: schemas, row errors, round trips."""
 
+import csv
 import io
 import json
 
@@ -203,8 +204,10 @@ class TestCountCeiling:
             (f"g,r,{10**50 + 1},", "row 2: h_index exceeds the ceiling 10**50"),
             (f"g,r,3,{10**50 + 1}", "row 2: total_citations exceeds the ceiling 10**50"),
             ("g,r," + "9" * 5000 + ",", "row 2: h_index exceeds the ceiling 10**50"),
+            # str.isdigit() accepts superscripts, which int() refuses
+            ("g,r,\u00b2,", "row 2: h_index '\u00b2' is not an integer"),
         ],
-        ids=["h_index", "total_citations", "5000-digits"],
+        ids=["h_index", "total_citations", "5000-digits", "superscript-digit"],
     )
     def test_summary_form(self, row, error):
         head = "group_id,researcher_id,h_index,total_citations\n"
@@ -225,6 +228,38 @@ class TestCountCeiling:
         assert not report.ok
         assert report.errors[0].startswith(f"groups[0].members[0].{key}:")
         assert "10**50" in report.errors[0]
+
+
+class TestMalformedInput:
+    """Input that trips the parsers themselves is reported, not raised."""
+
+    def _field_limit_error(self, row: int) -> str:
+        return f"row {row}: field larger than field limit ({csv.field_size_limit()})"
+
+    def test_summary_field_past_csv_limit(self):
+        head = "group_id,researcher_id,h_index,total_citations\n"
+        big = "1" * (csv.field_size_limit() + 1)
+        report = read_summary_form(rows(head + f"g,r,{big},5\n"))
+        assert report.errors == (self._field_limit_error(2),)
+
+    def test_long_form_field_past_csv_limit(self):
+        head = "group_id,researcher_id,paper_id,citations\n"
+        big = "1" * (csv.field_size_limit() + 1)
+        report = read_long_form(rows(head + f"g,r,p1,3\ng,r,p2,{big}\n"))
+        assert report.errors == (self._field_limit_error(3),)
+
+    def test_header_field_past_csv_limit(self):
+        big = "x" * (csv.field_size_limit() + 1)
+        report = read_summary_form(rows(f"group_id,researcher_id,h_index,{big}\ng,r,1,5\n"))
+        assert report.errors == (self._field_limit_error(1),)
+
+    def test_deeply_nested_json(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text('{"groups": ' + "[" * 200_000, encoding="utf-8")
+        report = read_dataset_file(path)
+        assert not report.ok
+        assert len(report.errors) == 1 and report.errors[0].startswith("invalid JSON: ")
+        assert "recursion" in report.errors[0]
 
 
 class TestFileDispatch:
