@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import json
+import operator
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -84,42 +85,53 @@ def read_long_form(source) -> IngestReport:
     ``source`` is a path or an open file (or any iterable of lines), comma-
     or tab-delimited.  Rows are grouped by (group, researcher) in
     first-appearance order; each member's h-index and citation total are
-    computed from its papers.
+    computed from its papers.  A member is looked up once per run of
+    consecutive rows naming it, so a file that lists each member's papers
+    together costs one lookup per member; a member whose rows resume later
+    still merges into its first entry.  A paper id repeated within one
+    member is an error, wherever in the file the repeat appears.
     """
     if isinstance(source, (str, Path)):
         with open(source, encoding="utf-8-sig", newline="") as fh:
             return read_long_form(fh)
     errors: list[str] = []
-    papers: dict[tuple[str, str], list[int]] = {}
-    seen_papers: set[tuple[str, str, str]] = set()
+    # per member, its papers' citations keyed by paper id, in file order
+    papers: dict[tuple[str, str], dict[str, int]] = {}
     groups: dict[str, list[ResearcherProfile]] = {}
 
     rows, columns = _read_header(source, LONG_FORM_HEADER, errors)
     if columns is None:
         return _report(errors, groups)
 
-    g_col, r_col, p_col, c_col = columns
+    fields = operator.itemgetter(*columns)
+    width = len(LONG_FORM_HEADER)
+    run_gid = run_rid = None  # the member of the previous valid row
+    member: dict[str, int] = {}
     lineno = 1
     try:
         for lineno, row in enumerate(rows, start=2):
-            if len(row) != len(LONG_FORM_HEADER):
-                errors.append(f"row {lineno}: expected {len(LONG_FORM_HEADER)} fields, got {len(row)}")
+            if len(row) != width:
+                errors.append(f"row {lineno}: expected {width} fields, got {len(row)}")
                 continue
-            gid = row[g_col].strip()
-            rid = row[r_col].strip()
-            pid = row[p_col].strip()
-            raw = row[c_col].strip()
+            gid, rid, pid, raw = fields(row)
+            gid = gid.strip()
+            rid = rid.strip()
+            pid = pid.strip()
             if not gid or not rid or not pid:
                 errors.append(f"row {lineno}: blank group_id, researcher_id, or paper_id")
                 continue
-            cites = _parse_count(raw, "citations", lineno, errors)
+            cites = _parse_count(raw.strip(), "citations", lineno, errors)
             if cites is None:
                 continue
-            if (gid, rid, pid) in seen_papers:
+            if rid != run_rid or gid != run_gid:
+                run_gid, run_rid = gid, rid
+                member = papers.get((gid, rid))
+                if member is None:
+                    member = papers[gid, rid] = {}
+            if pid in member:
                 errors.append(f"row {lineno}: duplicate paper {pid!r} for {rid!r} in {gid!r}")
                 continue
-            seen_papers.add((gid, rid, pid))
-            papers.setdefault((gid, rid), []).append(cites)
+            member[pid] = cites
     except csv.Error as exc:  # e.g. a field past csv.field_size_limit()
         lineno += 1
         errors.append(f"row {lineno}: {exc}")
@@ -129,7 +141,8 @@ def read_long_form(source) -> IngestReport:
     if errors:
         return _report(errors, groups)
 
-    for (gid, rid), cites in papers.items():
+    for (gid, rid), member in papers.items():
+        cites = list(member.values())
         total = sum(cites)
         if total > MAX_COUNT:
             errors.append(f"{rid!r} in {gid!r}: total citations exceed the ceiling 10**50")
@@ -146,21 +159,33 @@ def read_long_form(source) -> IngestReport:
 
 
 def _parse_count(raw: str, column: str, lineno: int, errors: list[str]) -> int | None:
-    """``raw`` as a count in ``[0, MAX_COUNT]``; None after recording why not."""
-    try:
-        value = int(raw)
-    except ValueError:
-        if not (raw.isascii() and raw.isdigit()):
-            errors.append(f"row {lineno}: {column} {raw!r} is not an integer")
-            return None
-        value = MAX_COUNT + 1  # too many digits for int(), so past the ceiling
-    if value < 0:
-        errors.append(f"row {lineno}: negative {column} {value}")
-        return None
-    if value > MAX_COUNT:
+    """``raw`` as a count in ``[0, MAX_COUNT]``; None after recording why not.
+
+    A count is ASCII digits only: ``int()`` would also take ``+3``, ``1_0``
+    and non-ASCII decimal digits.  A leading ``-`` is named as a negative.
+    """
+    if raw.isascii() and raw.isdigit():
+        try:
+            value = int(raw)
+        except ValueError:  # too many digits for int(), so past the ceiling
+            value = MAX_COUNT + 1
+        if value <= MAX_COUNT:
+            return value
         errors.append(f"row {lineno}: {column} exceeds the ceiling 10**50")
         return None
-    return value
+    digits = raw[1:]
+    if raw[:1] == "-" and digits.isascii() and digits.isdigit():
+        try:
+            value = int(raw)
+        except ValueError:  # too many digits for int(): not an integer, below
+            pass
+        else:
+            if not value:  # "-0"
+                return 0
+            errors.append(f"row {lineno}: negative {column} {value}")
+            return None
+    errors.append(f"row {lineno}: {column} {raw!r} is not an integer")
+    return None
 
 
 def read_summary_form(source) -> IngestReport:

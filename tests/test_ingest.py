@@ -7,6 +7,7 @@ import json
 import pytest
 
 from alphaindex.ingest import (
+    LONG_FORM_HEADER,
     read_dataset,
     read_dataset_file,
     read_long_form,
@@ -16,6 +17,7 @@ from alphaindex.ingest import (
 from alphaindex.metrics import h_index
 from alphaindex.model import validate
 
+import ingest_reference
 from conftest import random_dataset
 
 
@@ -96,6 +98,114 @@ class TestLongForm:
         assert report.ok
         for member in report.dataset.groups[0].members:
             assert member.h_index == expected[member.id]
+
+
+class TestLongFormRuns:
+    """A member is looked up once per run of rows; its runs merge in order."""
+
+    @pytest.mark.parametrize("delimiter", [",", "\t"], ids=["comma", "tab"])
+    def test_duplicate_paper_after_another_members_rows(self, delimiter):
+        lines = [
+            LONG_FORM_HEADER,
+            ("g", "A", "p1", "5"),
+            ("g", "A", "p2", "3"),
+            ("g", "B", "p1", "4"),  # the same paper id under another member
+            ("h", "A", "p1", "2"),  # and under the same researcher in another group
+            ("g", "A", "p1", "7"),
+            ("g", "A", "p3", "1"),
+            ("g", "B", "p2", "x"),
+            ("g", "B", "p1", "6"),
+        ]
+        report = read_long_form(rows("".join(delimiter.join(r) + "\n" for r in lines)))
+        assert report.errors == (
+            "row 6: duplicate paper 'p1' for 'A' in 'g'",
+            "row 8: citations 'x' is not an integer",
+            "row 9: duplicate paper 'p1' for 'B' in 'g'",
+        )
+
+    @pytest.mark.parametrize("delimiter", [",", "\t"], ids=["comma", "tab"])
+    def test_member_rows_merge_across_runs(self, delimiter):
+        lines = [
+            LONG_FORM_HEADER,
+            ("g", "A", "p1", "5"),
+            ("g", "A", "p2", "3"),
+            ("g", "B", "p1", "4"),
+            ("g", " A ", "p3", "7"),
+            ("h", "A", "p1", "2"),
+            ("g", "A", "p4", "1"),
+        ]
+        report = read_long_form(rows("".join(delimiter.join(r) + "\n" for r in lines)))
+        assert report.ok, report.errors
+        g, h = report.dataset.groups
+        assert [m.id for m in g.members] == ["A", "B"]
+        a = g.members[0]
+        assert (a.paper_citations, a.h_index, a.total_citations) == ((5, 3, 7, 1), 3, 16)
+        assert g.members[1].paper_citations == (4,)
+        assert (h.id, [m.paper_citations for m in h.members]) == ("h", [(2,)])
+
+
+def _random_long_form(rng) -> bytes:
+    """A small long-form file; most carry row errors, some are clean."""
+    clean = rng.random() < 0.35
+    delimiter = "\t" if rng.random() < 0.3 else ","
+    header = list(LONG_FORM_HEADER)
+    if rng.random() < 0.3:
+        rng.shuffle(header)
+    bad_counts = ["x", "+3", "1_0", "\u0663", "\u00b2", "-2", "-0", " 7 ", "", "1.5",
+                  str(10**50 + 1)]
+    lines = [delimiter.join(header)]
+    member = ("g0", "r0")
+    next_paper: dict[tuple[str, str], int] = {}
+    for _ in range(int(rng.integers(0, 30))):
+        if rng.random() < 0.4:  # else the run of the previous member goes on
+            # researcher ids repeat across groups
+            member = (f"g{rng.integers(3)}", f"r{rng.integers(4)}")
+        if clean:
+            paper = next_paper.get(member, 0)
+            next_paper[member] = paper + 1
+        else:  # few paper ids, so repeats come both adjacent and apart
+            paper = int(rng.integers(6))
+        cells = {
+            "group_id": member[0],
+            "researcher_id": member[1],
+            "paper_id": f"p{paper}",
+            "citations": str(rng.integers(0, 40)),
+        }
+        if rng.random() < 0.2:  # padding that stripping removes
+            key = header[int(rng.integers(4))]
+            cells[key] = f" {cells[key]} "
+        if clean and rng.random() < 0.05:  # valid alone, past the ceiling in a sum
+            cells["citations"] = str(10**50)
+        if not clean:
+            roll = rng.random()
+            if roll < 0.06:
+                blank = ("group_id", "researcher_id", "paper_id")[rng.integers(3)]
+                cells[blank] = " " * int(rng.integers(2))
+            elif roll < 0.18:
+                cells["citations"] = bad_counts[int(rng.integers(len(bad_counts)))]
+        row = [cells[c] for c in header]
+        if not clean and rng.random() < 0.04:
+            row = row[:3] if rng.random() < 0.5 else row + ["extra"]
+        lines.append(delimiter.join(row))
+    text = "\n".join(lines) + ("\n" if rng.random() < 0.8 else "")
+    bom = b"\xef\xbb\xbf" if rng.random() < 0.2 else b""
+    return bom + text.encode("utf-8")
+
+
+def test_long_form_matches_reference_loop(tmp_path, rng):
+    reports = []
+    for i in range(300):
+        path = tmp_path / f"{i}.csv"
+        path.write_bytes(_random_long_form(rng))
+        report = read_long_form(path)
+        assert report == ingest_reference.read_long_form(path), path.read_bytes()
+        reports.append(report)
+    # the comparison covers datasets, repeated papers and every row error
+    errors = [e for r in reports for e in r.errors]
+    assert sum(r.ok for r in reports) > 60
+    for kind in ("duplicate paper", "blank", "fields, got", "not an integer", "negative",
+                 "exceeds the ceiling", "total citations exceed", "no data rows"):
+        assert any(kind in e for e in errors), kind
 
 
 class TestSummaryForm:
@@ -213,6 +323,39 @@ class TestCountCeiling:
         head = "group_id,researcher_id,h_index,total_citations\n"
         assert read_summary_form(rows(head + f"g,r,{10**50},{10**50}\n")).ok
         assert read_summary_form(rows(head + row + "\n")).errors == (error,)
+
+    @pytest.mark.parametrize(
+        "raw, value",
+        [
+            ("7", 7),
+            (" 5 ", 5),
+            ("007", 7),
+            ("-0", 0),
+            ("1_0", "row 2: h_index '1_0' is not an integer"),
+            ("+3", "row 2: h_index '+3' is not an integer"),
+            ("\u0663", "row 2: h_index '\u0663' is not an integer"),  # Arabic-Indic three
+            ("-2", "row 2: negative h_index -2"),
+            ("-1_0", "row 2: h_index '-1_0' is not an integer"),
+            ("--2", "row 2: h_index '--2' is not an integer"),
+            ("-", "row 2: h_index '-' is not an integer"),
+            ("-" + "9" * 5000, "row 2: h_index '-" + "9" * 5000 + "' is not an integer"),
+        ],
+        ids=["plain", "spaces", "leading-zeros", "minus-zero", "underscore", "plus",
+             "arabic-indic", "negative", "negative-underscore", "double-minus", "minus-only",
+             "negative-5000-digits"],
+    )
+    def test_count_syntax(self, raw, value):
+        # only ASCII digits make a count; whitespace around a field is ignored
+        summary = read_summary_form(
+            rows(f"group_id,researcher_id,h_index,total_citations\ng,r,{raw},\n")
+        )
+        long = read_long_form(rows(f"group_id\tresearcher_id\tpaper_id\tcitations\ng\tr\tp\t{raw}\n"))
+        if isinstance(value, int):
+            assert summary.dataset.groups[0].members[0].h_index == value
+            assert long.dataset.groups[0].members[0].paper_citations == (value,)
+        else:
+            assert summary.errors == (value,)
+            assert long.errors == (value.replace("h_index", "citations"),)
 
     @pytest.mark.parametrize(
         "member, key",
