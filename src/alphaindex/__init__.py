@@ -59,10 +59,8 @@ from .metrics import (
 )
 from .model import Dataset, Group, ResearcherProfile, Violation, validate
 from .ranking import (
-    RankingConfig,
     RankingReport,
     RankingRow,
-    SubsetStream,
     rank,
     rank_from_precomputed,
     relative_h_group,
@@ -86,7 +84,6 @@ __all__ = [
     "LorenzCurve",
     "NormalityReport",
     "PowerLawFit",
-    "RankingConfig",
     "RankingReport",
     "RankingRow",
     "ResearcherProfile",
@@ -94,7 +91,6 @@ __all__ = [
     "SampleTooLargeError",
     "StretchedExpFit",
     "StretchedExpParams",
-    "SubsetStream",
     "TooFewGroupsError",
     "Violation",
     "ZeroVarianceError",

@@ -169,23 +169,13 @@ def _cmd_rank(args) -> Result:
         raise CliError(f"--samples must be positive, got {args.samples}")
     if args.seed < 0:
         raise CliError("--seed must be non-negative")
-    if not args.gini_floor > 0:
-        raise CliError(f"--gini-floor must be positive, got {args.gini_floor}")
-    if math.isinf(args.gini_floor):
-        raise CliError("--gini-floor must be finite, got inf")
-    config = ranking.RankingConfig(
-        n_samples=args.samples,
-        seed=args.seed,
-        reference_size=args.ref_size,
-        gini_floor=args.gini_floor,
-    )
-    report = ranking.rank(dataset.groups, config)
+    report = ranking.rank(dataset.groups, n_samples=args.samples, seed=args.seed)
     for gid in report.floored_group_ids:
-        _warn(args, f"group {gid!r} gini below floor {report.gini_floor}; clamped")
+        _warn(args, f"group {gid!r} gini below floor {ranking.GINI_FLOOR}; clamped")
     provenance = (
         f"seed={report.seed} n_samples={report.n_samples} "
         f"reference={report.reference_group_id} (size {report.reference_size}) "
-        f"gini_floor={report.gini_floor}"
+        f"gini_floor={ranking.GINI_FLOOR}"
     )
     return Result(
         report.as_dict(),
@@ -250,7 +240,11 @@ def _parse_grid(spec: str) -> tuple[float, ...]:
         span = (stop - start) / step  # may overflow to inf for finite bounds
         if not span < _MAX_GRID:
             raise CliError(f"grid {spec!r} exceeds the {_MAX_GRID} point limit")
-        return tuple(round(start + i * step, 12) for i in range(round(span) + 1))
+        count = math.floor(span)  # whole steps that stay at or below stop
+        # float noise can put the span just under a whole number of steps
+        if math.isclose(start + (count + 1) * step, stop, rel_tol=1e-9, abs_tol=1e-9 * step):
+            count += 1
+        return tuple(round(start + i * step, 12) for i in range(count + 1))
     try:
         grid = tuple(float(p) for p in spec.split(","))
     except ValueError:
@@ -483,8 +477,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rank", parents=[common, reading], help="alpha-index ranking")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--samples", type=int, default=1000, help="subsets per group (default 1000)")
-    p.add_argument("--ref-size", type=int, default=None, help="override the reference subset size")
-    p.add_argument("--gini-floor", type=float, default=1e-3)
     p.set_defaults(handler=_cmd_rank)
 
     p = sub.add_parser("lorenz", parents=[common, reading], help="cumulative h-share curves")

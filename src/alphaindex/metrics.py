@@ -4,8 +4,8 @@ Everything here is a pure function over immutable inputs.  The cumulative
 h-share curve and its concentration coefficient share the ascending running
 sums of member h-indexes, exact integers converted to float only at the end,
 so groups with equal h-indexes get a coefficient of exactly 0.0 and scaling
-every h by a positive integer changes nothing.  The h-group is read off the
-member-count survival curve.
+every h by a positive integer changes nothing.  The h-group is the h-index
+of the member h-indexes.
 """
 
 from __future__ import annotations
@@ -94,9 +94,10 @@ def gini(group: Group) -> float:
 
 
 def h_group(group: Group) -> int:
-    """Largest H such that at least H members have h-index >= H: the crossing
-    of :func:`psi_curve` with the identity line, max_i min(h_i, psi_i)."""
-    return max(min(h, psi) for h, psi in psi_curve(group))
+    """Largest H such that at least H members have h-index >= H: the
+    :func:`h_index` of the member h-indexes, and the crossing of
+    :func:`psi_curve` with the identity line, max_i min(h_i, psi_i)."""
+    return h_index(group.h_values())
 
 
 def psi_curve(group: Group) -> list[tuple[int, int]]:

@@ -38,8 +38,6 @@ from alphaindex.ingest import read_dataset, read_long_form, write_dataset
 from alphaindex.metrics import gini, h_group, h_index, lorenz_curve
 from alphaindex.model import Dataset, validate
 from alphaindex.ranking import (
-    RankingConfig,
-    SubsetStream,
     rank,
     rank_from_precomputed,
     relative_h_group,
@@ -157,7 +155,7 @@ def test_criterion_05_determinism_and_convergence(tmp_path):
     group = synth_group("conv", list(range(1, 31)))
     stds = []
     for n_samples in (100, 400, 1600):
-        vals = [relative_h_group(group, 10, n_samples, SubsetStream(seed)) for seed in range(200)]
+        vals = [relative_h_group(group, 10, n_samples, seed) for seed in range(200)]
         stds.append(float(np.std(vals)))
     for hi, lo in zip(stds, stds[1:]):
         assert 1.6 <= hi / lo <= 2.5, stds

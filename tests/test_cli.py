@@ -265,25 +265,14 @@ class TestRank:
         code, _, err = run(capsys, "rank", path)
         assert code == 1
 
-    @pytest.mark.parametrize("floor", ["0", "-1", "nan", "inf"])
-    def test_bad_gini_floor_is_domain_error(self, capsys, two_group_file, floor):
-        code, out, err = run(capsys, "rank", two_group_file, "--gini-floor", floor)
-        assert code == 1
-        assert out == ""
-        assert err.startswith("error: --gini-floor must be")
-
-    def test_all_zero_scores_exit_one(self, capsys, tmp_path):
-        # with this seed every one-member subset draws an h of 0
-        path = tmp_path / "zero.csv"
-        rows = [f"{g},{g}{i},{h},{h}" for g in "ab" for i, h in enumerate([1, 0, 0, 0, 0])]
-        path.write_text("group_id,researcher_id,h_index,total_citations\n" + "\n".join(rows))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            code, out, err = run(
-                capsys, "rank", path, "--ref-size", "1", "--samples", "1", "--seed", "3"
-            )
-        assert (code, out) == (1, "")
-        assert err == "error: all scores are zero; alpha weights are undefined\n"
+    @pytest.mark.parametrize(
+        "flag, value", [("--ref-size", "5"), ("--gini-floor", "0.5")], ids=lambda v: v
+    )
+    def test_ref_size_and_gini_floor_flags_are_gone(self, capsys, two_group_file, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["rank", str(two_group_file), flag, value])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
 
     def test_csv_format_carries_provenance_comment(self, capsys, two_group_file):
         code, out, _ = run(capsys, "rank", two_group_file, "--seed", "4", "--format", "csv")
@@ -401,6 +390,24 @@ class TestDistfit:
         assert code == 0
         doc = json.loads(out)
         assert doc["grid"] == [0.2, 0.25, 0.3]
+
+    @pytest.mark.parametrize(
+        "spec, grid",
+        [
+            ("1:2:0.5", (1.0, 1.5, 2.0)),
+            ("1:2:0.6", (1.0, 1.6)),
+            ("0:1:0.6", (0.0, 0.6)),
+            ("0.2:0.3:0.1", (0.2, 0.3)),
+            ("0.2:0.34:0.02", (0.2, 0.22, 0.24, 0.26, 0.28, 0.3, 0.32, 0.34)),
+            ("-0.3:0:0.1", (-0.3, -0.2, -0.1, 0.0)),
+            # the span reads 0.99999999899: noise relative to the endpoints
+            ("-63432:-63431.9982:0.0018", (-63432.0, -63431.9982)),
+        ],
+    )
+    def test_range_grid_stops_at_stop(self, spec, grid):
+        from alphaindex.cli import _parse_grid
+
+        assert _parse_grid(spec) == grid
 
     @pytest.mark.parametrize(
         "flag, analyses, applies",

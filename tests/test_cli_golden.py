@@ -127,7 +127,6 @@ def _argvs() -> list[list[str]]:
             if path != "huge.json":  # slope at h = 10**23: test_extreme_counts_exit_cleanly
                 runs.append(["distfit", path, "--analysis", "slope", *f])
         runs += [
-            ["rank", "groups.json", "--seed", "8", "--samples", "50", "--ref-size", "5", *f],
             ["rank", "flat.json", *f],
             ["rank", "flat.json", "--quiet", *f],
             ["distfit", "groups.json", "--analysis", "moments",
@@ -161,8 +160,6 @@ def _argvs() -> list[list[str]]:
         ["metrics", "missing.json"],
         ["rank", "groups.json", "--samples", "0"],
         ["rank", "groups.json", "--seed", "-1"],
-        ["rank", "groups.json", "--gini-floor", "0"],
-        ["rank", "groups.json", "--ref-size", "99"],
         ["distfit", "groups.json", "--analysis", "slope", "--k-grid", "1,2"],
         ["distfit", "groups.json", "--analysis", "beta", "--beta-grid", "0.1:inf:0.1"],
         ["distfit", "groups.json", "--analysis", "moments", "--k-grid", "1,x"],

@@ -12,7 +12,7 @@ import subset_reference
 from alphaindex import _kernels
 from alphaindex.cli import main
 from alphaindex.metrics import h_index
-from alphaindex.ranking import RankingConfig, rank
+from alphaindex.ranking import rank
 from alphaindex.synth import synth_group
 
 
@@ -179,9 +179,8 @@ class TestHugeHIndex:
             _kernels.subset_hindex_sum(clipped, 3, 500, 8, 0)
 
     def test_rank(self):
-        config = RankingConfig(n_samples=500, seed=8)
-        huge = {r.group_id: r for r in rank(self.groups(10**23), config).rows}
-        at_s = {r.group_id: r for r in rank(self.groups(3), config).rows}
+        huge = {r.group_id: r for r in rank(self.groups(10**23), n_samples=500, seed=8).rows}
+        at_s = {r.group_id: r for r in rank(self.groups(3), n_samples=500, seed=8).rows}
         assert huge.keys() == at_s.keys()
         for gid, row in huge.items():
             assert row.relative_h_group == at_s[gid].relative_h_group

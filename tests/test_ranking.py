@@ -8,13 +8,7 @@ import pytest
 
 from alphaindex.errors import DegenerateGroupError, SampleTooLargeError, TooFewGroupsError
 from alphaindex.metrics import h_group, h_index
-from alphaindex.ranking import (
-    RankingConfig,
-    SubsetStream,
-    rank,
-    rank_from_precomputed,
-    relative_h_group,
-)
+from alphaindex.ranking import GINI_FLOOR, rank, rank_from_precomputed, relative_h_group
 from alphaindex.synth import synth_group
 
 from conftest import random_group
@@ -60,20 +54,20 @@ class TestRelativeHGroup:
         for _ in range(50):
             group = random_group(rng, max_n=25)
             size = int(rng.integers(1, len(group.members) + 1))
-            rel = relative_h_group(group, size, 200, SubsetStream(5, 1))
+            rel = relative_h_group(group, size, 200, seed=5, key=1)
             assert rel <= h_group(group) + 1e-12
             assert rel <= size
 
-    def test_accepts_stream_or_seed(self):
-        group = synth_group("g", [4, 3, 2, 1])
-        assert relative_h_group(group, 2, 100, 9) == \
-            relative_h_group(group, 2, 100, SubsetStream(9, 0))
+    @pytest.mark.parametrize("param, value", [("seed", 2**64), ("seed", -1), ("key", -1)])
+    def test_stream_validation(self, param, value):
+        with pytest.raises(ValueError, match=param):
+            relative_h_group(synth_group("g", [4, 3, 2, 1]), 2, 100, **{param: value})
 
 
 class TestRank:
     def test_two_identical_groups_split_evenly(self):
         groups = [synth_group("a", [5, 3, 2]), synth_group("b", [5, 3, 2])]
-        report = rank(groups, RankingConfig(n_samples=500, seed=1))
+        report = rank(groups, n_samples=500, seed=1)
         assert [r.alpha for r in report.rows] == [0.5, 0.5]
         assert [r.group_id for r in report.rows] == ["a", "b"]  # tie -> id order
 
@@ -92,7 +86,7 @@ class TestRank:
             synth_group("aaa", [5, 5, 5]),
             synth_group("large", [6] * 8),
         ]
-        report = rank(groups, RankingConfig(n_samples=50))
+        report = rank(groups, n_samples=50)
         assert report.reference_group_id == "aaa"
         assert report.reference_size == 3
 
@@ -103,7 +97,7 @@ class TestRank:
             synth_group("middle", [7, 7, 5, 3, 2]),
             synth_group("weak", [9, 2, 1, 1, 1]),
         ]
-        report = rank(groups, RankingConfig(n_samples=2000, seed=3))
+        report = rank(groups, n_samples=2000, seed=3)
         assert report.rows[0].group_id == "dominant"
 
     def test_alpha_sums_to_one_and_rows_sorted(self, rng):
@@ -111,7 +105,7 @@ class TestRank:
             synth_group(f"g{pos}", random_group(rng, max_n=20).h_values())
             for pos in range(5)
         ]
-        report = rank(groups, RankingConfig(n_samples=300, seed=11))
+        report = rank(groups, n_samples=300, seed=11)
         alphas = [r.alpha for r in report.rows]
         assert sum(alphas) == pytest.approx(1.0, abs=1e-9)
         assert all(0 < a < 1 for a in alphas)
@@ -122,50 +116,43 @@ class TestRank:
 
     def test_bit_identical_reports(self):
         groups = [synth_group("a", [8, 6, 5, 2]), synth_group("b", [9, 1, 1])]
-        config = RankingConfig(n_samples=2000, seed=77)
-        first = json.dumps(rank(groups, config).as_dict(), sort_keys=True)
-        second = json.dumps(rank(groups, config).as_dict(), sort_keys=True)
+        first = json.dumps(rank(groups, n_samples=2000, seed=77).as_dict(), sort_keys=True)
+        second = json.dumps(rank(groups, n_samples=2000, seed=77).as_dict(), sort_keys=True)
         assert first == second
 
     def test_result_independent_of_group_order_values(self):
         # streams are keyed by position, so per-group estimates move with
         # their position; the full-size case is exact and order-proof
         groups = [synth_group("a", [5, 5, 5]), synth_group("b", [7, 7, 7])]
-        fwd = rank(groups, RankingConfig(n_samples=100, seed=5))
-        rev = rank(groups[::-1], RankingConfig(n_samples=100, seed=5))
+        fwd = rank(groups, n_samples=100, seed=5)
+        rev = rank(groups[::-1], n_samples=100, seed=5)
         assert {(r.group_id, r.alpha) for r in fwd.rows} == \
             {(r.group_id, r.alpha) for r in rev.rows}
 
-    def test_reference_size_override_validated(self):
-        groups = [synth_group("a", [3, 3]), synth_group("b", [4, 4, 4])]
-        with pytest.raises(SampleTooLargeError):
-            rank(groups, RankingConfig(reference_size=3))
-
-    @pytest.mark.parametrize(
-        "field, value",
-        [
-            ("n_samples", 0),
-            ("seed", -1),
-            ("reference_size", 0),
-            ("gini_floor", 0.0),
-            ("gini_floor", float("nan")),
-            ("gini_floor", float("inf")),
-        ],
-    )
+    @pytest.mark.parametrize("field, value", [("n_samples", 0), ("seed", -1), ("seed", 2**64)])
     def test_config_validation(self, field, value):
+        groups = [synth_group("a", [3, 3]), synth_group("b", [4, 4, 4])]
         with pytest.raises(ValueError, match=field):
-            RankingConfig(**{field: value})
+            rank(groups, **{field: value})
 
     def test_gini_floor_reported(self):
         groups = [synth_group("flat", [4, 4, 4]), synth_group("mixed", [9, 3, 1])]
-        report = rank(groups, RankingConfig(n_samples=200, seed=2))
+        report = rank(groups, n_samples=200, seed=2)
         assert report.floored_group_ids == ("flat",)
+        assert report.as_dict()["provenance"]["gini_floor"] == GINI_FLOOR == 1e-3
 
-    def test_all_zero_scores_refused(self):
-        # with this seed every one-member subset draws an h of 0
-        groups = [synth_group("a", [1, 0, 0, 0, 0]), synth_group("b", [1, 0, 0, 0, 0])]
-        with pytest.raises(ValueError, match="all scores are zero"):
-            rank(groups, RankingConfig(n_samples=1, seed=3, reference_size=1))
+    def test_reference_keeps_its_h_group(self, rng):
+        # the reference is sampled whole, so its estimate is exact and at
+        # least 1, and the alpha weights of rank are always defined
+        for trial in range(200):
+            groups = [
+                synth_group(f"g{pos}", random_group(rng, max_n=12, max_h=3).h_values())
+                for pos in range(int(rng.integers(2, 5)))
+            ]
+            n_samples = (1, 7)[trial % 2]
+            report = rank(groups, n_samples=n_samples, seed=trial)
+            ref = next(r for r in report.rows if r.group_id == report.reference_group_id)
+            assert ref.relative_h_group == ref.h_group >= 1
 
 
 class TestRankFromPrecomputed:
@@ -211,7 +198,7 @@ def test_convergence_rate_one_over_sqrt_samples():
     group = synth_group("conv", list(range(1, 31)))
     stds = []
     for n_samples in (100, 400, 1600):
-        vals = [relative_h_group(group, 10, n_samples, SubsetStream(seed)) for seed in range(200)]
+        vals = [relative_h_group(group, 10, n_samples, seed) for seed in range(200)]
         stds.append(float(np.std(vals)))
     assert 1.6 <= stds[0] / stds[1] <= 2.5
     assert 1.6 <= stds[1] / stds[2] <= 2.5
