@@ -7,26 +7,15 @@ small positive value), and the weights are normalized to sum to 1, giving
 comparable quality weights for committees or boards of different sizes.
 Supporting statistics for citation and h-index distributions live in
 :mod:`alphaindex.distribution`.
+
+Importing the package loads no numpy.  The names from ``distribution``,
+``ranking`` and ``synth``, the modules that use numpy, are served on first
+access (PEP 562), so the commands that compute nothing numerical
+(``validate``, ``metrics``, ``lorenz``, ``psi``) never load it.
 """
 
-from .distribution import (
-    GiddingsFit,
-    Histogram,
-    NormalityReport,
-    PowerLawFit,
-    StretchedExpFit,
-    bessel_i1,
-    build_histogram,
-    empirical_moment_ratio,
-    fit_beta,
-    fit_giddings,
-    giddings_eval,
-    kurtosis,
-    power_law_slope,
-    shapiro_wilk,
-    skewness,
-    theoretical_moment_ratio,
-)
+import importlib
+
 from .errors import (
     AlphaIndexError,
     BinSpecError,
@@ -58,14 +47,49 @@ from .metrics import (
     psi_curve,
 )
 from .model import Dataset, Group, ResearcherProfile, Violation, validate
-from .ranking import (
-    RankingReport,
-    RankingRow,
-    rank,
-    rank_from_precomputed,
-    relative_h_group,
-)
-from .synth import StretchedExpParams, sample_stretched_exp, synth_group
+
+# public name -> the submodule that defines it, imported on first access
+_LAZY = {
+    **dict.fromkeys(
+        (
+            "GiddingsFit",
+            "Histogram",
+            "NormalityReport",
+            "PowerLawFit",
+            "StretchedExpFit",
+            "bessel_i1",
+            "build_histogram",
+            "empirical_moment_ratio",
+            "fit_beta",
+            "fit_giddings",
+            "giddings_eval",
+            "kurtosis",
+            "power_law_slope",
+            "shapiro_wilk",
+            "skewness",
+            "theoretical_moment_ratio",
+        ),
+        "distribution",
+    ),
+    **dict.fromkeys(
+        ("RankingReport", "RankingRow", "rank", "rank_from_precomputed", "relative_h_group"),
+        "ranking",
+    ),
+    **dict.fromkeys(("StretchedExpParams", "sample_stretched_exp", "synth_group"), "synth"),
+}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
+    globals()[name] = value  # later lookups skip this function
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY})
+
 
 __version__ = "0.1.0"
 

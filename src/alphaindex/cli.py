@@ -11,6 +11,10 @@ format (``table``, ``csv``, ``json``).  Plot-oriented commands emit, in
 ``table`` format, numeric columns under ``#``-prefixed headers (one
 blank-line-separated block per group), directly consumable by plotting
 tools.
+
+Importing this module loads no numpy: each handler imports the numerical
+modules it needs (``distribution``, ``ranking``, ``synth``) in its body, so
+``validate``, ``metrics``, ``lorenz`` and ``psi`` start without them.
 """
 
 from __future__ import annotations
@@ -25,9 +29,7 @@ import sys
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
-import numpy as np
-
-from . import distribution, ingest, metrics, ranking, synth
+from . import ingest, metrics
 from .errors import AlphaIndexError
 from .model import Dataset
 
@@ -164,6 +166,8 @@ def _cmd_metrics(args) -> Result:
 
 
 def _cmd_rank(args) -> Result:
+    from . import ranking
+
     dataset = _load_dataset(args)
     if args.samples < 1:
         raise CliError(f"--samples must be positive, got {args.samples}")
@@ -272,6 +276,8 @@ def _citation_inputs(args, dataset):
 
     Missing totals abort; zero totals are excluded with a warning.
     """
+    from . import distribution
+
     _require_totals(dataset, "citation analyses")
     values = [m.total_citations for g in dataset.groups for m in g.members]
     positive = [float(v) for v in values if v > 0]
@@ -310,6 +316,8 @@ def _cmd_distfit(args) -> Result:
 
 
 def _distfit_slope(args, dataset) -> Result:
+    from . import distribution
+
     _require_totals(dataset, "the slope fit")
     pairs = [(m.h_index, m.total_citations) for g in dataset.groups for m in g.members]
     fit = distribution.power_law_slope(pairs)
@@ -326,6 +334,8 @@ def _distfit_slope(args, dataset) -> Result:
 
 
 def _distfit_beta(args, dataset) -> Result:
+    from . import distribution
+
     values, beta_grid = _citation_inputs(args, dataset)
     fit = distribution.fit_beta(values, beta_grid)
     doc = {
@@ -345,6 +355,8 @@ def _distfit_beta(args, dataset) -> Result:
 
 
 def _distfit_giddings(args, dataset) -> Result:
+    from . import distribution
+
     hs = [m.h_index for g in dataset.groups for m in g.members]
     width_or_ratio = args.bin_ratio if args.binning == "geometric" else args.bin_width
     hist = distribution.build_histogram(hs, args.binning, width_or_ratio)
@@ -363,6 +375,8 @@ def _distfit_giddings(args, dataset) -> Result:
 
 
 def _distfit_normality(args, dataset) -> Result:
+    from . import distribution
+
     rows = []
     for g in dataset.groups:
         try:
@@ -379,6 +393,10 @@ def _distfit_normality(args, dataset) -> Result:
 
 
 def _distfit_moments(args, dataset) -> Result:
+    import numpy as np
+
+    from . import distribution
+
     values, beta_grid = _citation_inputs(args, dataset)
     k_grid = distribution.DEFAULT_K_GRID if args.k_grid is None else _parse_grid(args.k_grid)
     # one float array for every k, not one list conversion per call
@@ -422,6 +440,10 @@ def _cmd_synth(args) -> Result:
         raise CliError(f"--n must be at most {_MAX_SYNTH_N}, got {args.n}")
     if args.seed < 0:
         raise CliError("--seed must be non-negative")
+    import numpy as np
+
+    from . import synth
+
     params = synth.StretchedExpParams(beta=args.beta, scale=args.x0)
     rng = np.random.default_rng(args.seed)
     samples = synth.sample_stretched_exp(params, args.n, rng, round_to_int=args.round).tolist()
@@ -491,7 +513,8 @@ def _build_parser() -> argparse.ArgumentParser:
         required=True,
         choices=("slope", "beta", "giddings", "normality", "moments"),
     )
-    p.add_argument("--binning", choices=distribution.BINNING_MODES, default="linear")
+    # distribution.BINNING_MODES, spelled out so that building the parser loads no numpy
+    p.add_argument("--binning", choices=("linear", "geometric"), default="linear")
     p.add_argument("--bin-width", type=float, default=1.0)
     p.add_argument("--bin-ratio", type=float, default=2.0)
     p.add_argument("--beta-grid", default=None, help="start:stop:step or comma list")

@@ -6,7 +6,7 @@ here) and *summary form* with one row per researcher.  A JSON document
 format round-trips datasets losslessly.  Parsers never raise on bad content;
 every problem is collected into the returned :class:`IngestReport` with its
 row number or document path.  A count above :data:`model.MAX_COUNT` is such a
-problem.
+problem, and so is a file that is not UTF-8 text.
 """
 
 from __future__ import annotations
@@ -45,7 +45,11 @@ def _read_header(source, expected, errors: list[str]):
     comma, a comma otherwise.
     """
     lines = iter(source)
-    first = next(lines, None)
+    try:
+        first = next(lines, None)
+    except UnicodeDecodeError as exc:
+        errors.append(_not_utf8(exc))
+        return lines, None
     if first is None:
         errors.append("no rows")
         return lines, None
@@ -69,6 +73,13 @@ def _read_header(source, expected, errors: list[str]):
     if unknown or missing or dupes:
         return rows, None
     return rows, [names.index(name) for name in expected]
+
+
+def _not_utf8(exc: UnicodeDecodeError) -> str:
+    # no row number or position: the decoder reads ahead in chunks, so the
+    # failing read may lie rows past the last row parsed, and the codec's
+    # position counts from the start of its chunk, not of the file
+    return f"not UTF-8 text: byte 0x{exc.object[exc.start]:02x}: {exc.reason}"
 
 
 def _report(errors: list[str], groups: dict[str, list], warnings: tuple | list = ()) -> IngestReport:
@@ -135,8 +146,10 @@ def read_long_form(source) -> IngestReport:
     except csv.Error as exc:  # e.g. a field past csv.field_size_limit()
         lineno += 1
         errors.append(f"row {lineno}: {exc}")
+    except UnicodeDecodeError as exc:
+        errors.append(_not_utf8(exc))
 
-    if lineno == 1:
+    if lineno == 1 and not errors:
         errors.append("no data rows")
     if errors:
         return _report(errors, groups)
@@ -249,8 +262,10 @@ def read_summary_form(source) -> IngestReport:
     except csv.Error as exc:  # e.g. a field past csv.field_size_limit()
         lineno += 1
         errors.append(f"row {lineno}: {exc}")
+    except UnicodeDecodeError as exc:
+        errors.append(_not_utf8(exc))
 
-    if lineno == 1:
+    if lineno == 1 and not errors:
         errors.append("no data rows")
     return _report(errors, members, warnings)
 
@@ -393,7 +408,10 @@ def read_dataset_file(path: str | os.PathLike) -> IngestReport:
         return read_dataset(document)
 
     with open(path, encoding="utf-8-sig", newline="") as fh:
-        header_line = fh.readline()
+        try:
+            header_line = fh.readline()
+        except UnicodeDecodeError as exc:
+            return IngestReport(None, errors=(_not_utf8(exc),))
         fh.seek(0)
         if "paper_id" in header_line:
             return read_long_form(fh)

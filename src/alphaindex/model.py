@@ -8,6 +8,7 @@ counts, non-empty groups); cross-field consistency is checked by
 
 from __future__ import annotations
 
+import operator
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -26,7 +27,9 @@ class ResearcherProfile:
     ``paper_citations`` (citations per paper) is optional: public datasets
     often publish only the summary fields.  When it is present, ``h_index``
     and ``total_citations`` are expected to be consistent with it, which
-    :func:`validate` checks.
+    :func:`validate` checks.  Every count must be an integer: numpy integers
+    are stored as ``int``, and a float or string raises ``TypeError`` naming
+    the field.
     """
 
     id: str
@@ -35,21 +38,43 @@ class ResearcherProfile:
     paper_citations: tuple[int, ...] | None = None
 
     def __post_init__(self):
+        h, total = self.h_index, self.total_citations
         if not self.id:
             raise ValueError("researcher id must be non-empty")
-        if self.h_index < 0:
+        # plain ints pass as they are; anything else goes through
+        # operator.index, which takes numpy integers and refuses floats and
+        # strings (int() would truncate or parse them)
+        if type(h) is not int or (total is not None and type(total) is not int):
+            h = _count(h, self.id, "h_index")
+            total = None if total is None else _count(total, self.id, "total_citations")
+            object.__setattr__(self, "h_index", h)
+            object.__setattr__(self, "total_citations", total)
+        if h < 0:
             raise ValueError(f"{self.id}: h_index must be non-negative")
-        if self.total_citations is not None and self.total_citations < 0:
+        if total is not None and total < 0:
             raise ValueError(f"{self.id}: total_citations must be non-negative")
-        if self.h_index > MAX_COUNT or (self.total_citations or 0) > MAX_COUNT:
+        if h > MAX_COUNT or (total or 0) > MAX_COUNT:
             raise ValueError(f"{self.id}: counts must not exceed 10**50")
         if self.paper_citations is not None:
-            papers = tuple(map(int, self.paper_citations))
+            try:
+                papers = tuple(map(operator.index, self.paper_citations))
+            except TypeError:
+                raise TypeError(
+                    f"{self.id}: paper_citations must be integers, got {self.paper_citations!r}"
+                ) from None
             if min(papers, default=0) < 0:
                 raise ValueError(f"{self.id}: paper citation counts must be non-negative")
             if max(papers, default=0) > MAX_COUNT:
                 raise ValueError(f"{self.id}: counts must not exceed 10**50")
             object.__setattr__(self, "paper_citations", papers)
+
+
+def _count(value, rid: str, name: str) -> int:
+    """``value`` as a plain ``int``; a ``TypeError`` naming the field if it is no integer."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{rid}: {name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)

@@ -80,45 +80,94 @@ def peaked_csv(tmp_path) -> Path:
 
 
 def test_import_does_not_load_scipy_stats(tmp_path, summary_file):
-    # scipy costs most of a fresh start-up, so the package imports it only
-    # inside the functions that call it: importing the CLI and running the
-    # commands that never fit anything load none of it
+    # numpy and scipy cost most of a fresh start-up, so the package imports
+    # them only where they are used: importing the CLI loads neither, the
+    # commands that compute nothing numerical run with numpy unimportable,
+    # and the commands that never fit anything load no scipy
     src = str(Path(alphaindex.__file__).resolve().parent.parent)
-    fit_nothing = ("rank", "metrics", "lorenz", "psi", "validate")
+    no_numpy = ("metrics", "lorenz", "psi", "validate")
     runs = {
         name: [name, str(summary_file), "--output", str(tmp_path / f"{name}.out")]
-        for name in fit_nothing
+        for name in no_numpy
     }
+    runs["rank"] = ["rank", str(summary_file), "--output", str(tmp_path / "rank.out")]
     giddings = tmp_path / "giddings.out"
     runs["giddings"] = ["distfit", str(peaked_csv(tmp_path)), "--analysis", "giddings",
                         "--format", "json", "--output", str(giddings)]
     script = (
         f"import json, sys; sys.path.insert(0, {src!r})\n"
-        "def scipy_modules():\n"
-        "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "class NoNumpy:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name.split('.')[0] == 'numpy':\n"
+        "            raise ImportError(f'{name} is blocked')\n"
+        "blocker = NoNumpy()\n"
+        "sys.meta_path.insert(0, blocker)\n"
+        "def loaded():\n"
+        "    tops = {m.split('.')[0] for m in sys.modules}\n"
+        "    return {'numpy': 'numpy' in tops,\n"
+        "            'scipy': sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')}\n"
         "import alphaindex\n"
-        "seen = {'import alphaindex': [0, scipy_modules()]}\n"
+        "seen = {'import alphaindex': [0, loaded()]}\n"
+        "seen['dir'] = dir(alphaindex)\n"
         "import alphaindex.cli\n"
-        "seen['import alphaindex.cli'] = [0, scipy_modules()]\n"
+        "seen['import alphaindex.cli'] = [0, loaded()]\n"
         "seen['parsers after import'] = alphaindex.cli._build_parser.cache_info().misses\n"
-        f"for name, argv in {runs!r}.items():\n"
-        "    seen[name] = [alphaindex.cli.main(argv), scipy_modules()]\n"
+        f"runs = {runs!r}\n"
+        f"for name in {no_numpy!r}:\n"
+        "    seen[name] = [alphaindex.cli.main(runs[name]), loaded()]\n"
+        "sys.meta_path.remove(blocker)\n"
+        "for name in ('rank', 'giddings'):\n"
+        "    seen[name] = [alphaindex.cli.main(runs[name]), loaded()]\n"
         "seen['parsers after runs'] = alphaindex.cli._build_parser.cache_info().misses\n"
         "print(json.dumps(seen))\n"
     )
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     seen = json.loads(done.stdout)
-    assert "scipy.stats" not in seen["import alphaindex.cli"][1]
-    for step in ("import alphaindex", "import alphaindex.cli", *fit_nothing):
-        assert seen[step] == [0, []], step
+    assert "scipy.stats" not in seen["import alphaindex.cli"][1]["scipy"]
+    for step in ("import alphaindex", "import alphaindex.cli", *no_numpy):
+        assert seen[step] == [0, {"numpy": False, "scipy": []}], step
+    # the numpy-free runs write what an unblocked run writes
+    for name in no_numpy:
+        unblocked = tmp_path / f"{name}.unblocked"
+        assert main([*runs[name][:-1], str(unblocked)]) == 0
+        assert (tmp_path / f"{name}.out").read_bytes() == unblocked.read_bytes(), name
+    assert seen["rank"] == [0, {"numpy": True, "scipy": []}]
     # the deferred import still happens where a fit needs it
-    code, loaded = seen["giddings"]
-    assert code == 0 and "scipy.optimize" in loaded
+    code, modules = seen["giddings"]
+    assert code == 0 and "scipy.optimize" in modules["scipy"]
     assert json.loads(giddings.read_text(encoding="utf-8"))["converged"] is True
     # the parser is built on the first main() call, not at import, and reused
     assert seen["parsers after import"] == 0
     assert seen["parsers after runs"] == 1
+    # dir() lists the public names before any of them is loaded
+    assert set(alphaindex.__all__) <= set(seen["dir"])
+
+
+def test_lazy_names_are_the_submodules_objects():
+    import importlib
+
+    namespace: dict = {}
+    exec("from alphaindex import *", namespace)
+    assert set(alphaindex.__all__) <= set(namespace)
+    for name, module in alphaindex._LAZY.items():
+        assert name in alphaindex.__all__
+        expected = getattr(importlib.import_module(f"alphaindex.{module}"), name)
+        assert getattr(alphaindex, name) is expected is namespace[name]
+    with pytest.raises(AttributeError, match="no attribute 'nonexistent'"):
+        alphaindex.nonexistent
+
+
+def test_binning_choices_match_distribution():
+    # spelled out in the parser so that building it loads no numpy
+    import argparse
+
+    from alphaindex import cli, distribution
+
+    parser = cli._build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    binning = next(a for a in sub.choices["distfit"]._actions if a.dest == "binning")
+    assert tuple(binning.choices) == distribution.BINNING_MODES
 
 
 def run(capsys, *argv) -> tuple[int, str, str]:
@@ -152,6 +201,15 @@ class TestParserReuse:
 
 
 class TestMetrics:
+    def test_non_utf8_input_named(self, capsys, tmp_path, summary_file):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(summary_file.read_bytes().replace(b"r2", b"r\xe92"))
+        code, out, err = run(capsys, "metrics", path)
+        assert (code, out) == (1, "")
+        assert err.startswith(
+            "error: input rejected:\n  not UTF-8 text: byte 0xe9: invalid continuation byte\n"
+        )
+
     def test_rows_match_library(self, capsys, two_group_file):
         from alphaindex.metrics import group_metrics
         from alphaindex.ingest import read_dataset_file
@@ -614,7 +672,7 @@ class TestSynth:
         def no_draws(*args):
             raise Drawn  # an oversized --n must be refused before any draw
 
-        monkeypatch.setattr(cli.np.random, "default_rng", no_draws)
+        monkeypatch.setattr(np.random, "default_rng", no_draws)
         for n in (cli._MAX_SYNTH_N + 1, 10**11):
             code, out, err = run(capsys, "synth", "--beta", "0.3", "--n", n)
             assert (code, out) == (1, "")

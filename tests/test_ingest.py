@@ -396,6 +396,34 @@ class TestMalformedInput:
         report = read_summary_form(rows(f"group_id,researcher_id,h_index,{big}\ng,r,1,5\n"))
         assert report.errors == (self._field_limit_error(1),)
 
+    @pytest.mark.parametrize("opened", [False, True], ids=["path", "open-file"])
+    @pytest.mark.parametrize("bad_row", [2, 1000])
+    @pytest.mark.parametrize(
+        "header, row, reader",
+        [
+            ("group_id,researcher_id,paper_id,citations", "g,r{i},p{i},{i}", read_long_form),
+            ("group_id,researcher_id,h_index,total_citations", "g,r{i},1,{i}", read_summary_form),
+        ],
+        ids=["long", "summary"],
+    )
+    def test_bytes_that_are_not_utf8(self, tmp_path, header, row, reader, bad_row, opened):
+        lines = [header.encode()] + [row.format(i=i).encode() for i in range(1, 1200)]
+        lines[bad_row - 1] = b"\xff" + lines[bad_row - 1]
+        data = b"\n".join(lines) + b"\n"
+        if bad_row == 1000:  # past the decoder's first chunk, so found mid-parse
+            assert data.index(b"\xff") > 8192
+        path = tmp_path / "bad.csv"
+        path.write_bytes(data)
+        if opened:
+            with open(path, encoding="utf-8", newline="") as fh:
+                reports = [reader(fh)]
+        else:
+            reports = [reader(path), read_dataset_file(path)]
+        for report in reports:
+            assert not report.ok
+            # no row number or position: the decoder reads ahead in chunks
+            assert report.errors == ("not UTF-8 text: byte 0xff: invalid start byte",)
+
     def test_deeply_nested_json(self, tmp_path):
         path = tmp_path / "deep.json"
         path.write_text('{"groups": ' + "[" * 200_000, encoding="utf-8")

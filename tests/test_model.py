@@ -38,6 +38,35 @@ class TestConstruction:
             with pytest.raises(ValueError, match="10\\*\\*50"):
                 ResearcherProfile(id="r", **fields)
 
+    @pytest.mark.parametrize(
+        "fields, name",
+        [
+            ({"h_index": 2.5}, "h_index"),
+            ({"h_index": 2.0}, "h_index"),
+            ({"h_index": "2"}, "h_index"),
+            ({"h_index": 2, "total_citations": 4.2}, "total_citations"),
+            ({"h_index": 2, "total_citations": "4"}, "total_citations"),
+            ({"h_index": 2, "paper_citations": (3.7, 0.9)}, "paper_citations"),
+            ({"h_index": 2, "paper_citations": (3, "1")}, "paper_citations"),
+            ({"h_index": np.float64(2)}, "h_index"),
+        ],
+    )
+    def test_non_integer_counts_rejected_by_name(self, fields, name):
+        # int() would truncate 3.7 to 3 and parse "2"
+        with pytest.raises(TypeError, match=f"^r: {name} must be"):
+            ResearcherProfile(id="r", **fields)
+
+    def test_numpy_integers_stored_as_int(self):
+        m = ResearcherProfile(
+            id="r",
+            h_index=np.int64(2),
+            total_citations=np.uint32(13),
+            paper_citations=np.array([10, 3], dtype=np.int16),
+        )
+        assert m == ResearcherProfile(id="r", h_index=2, total_citations=13, paper_citations=(10, 3))
+        counts = (m.h_index, m.total_citations, *m.paper_citations)
+        assert all(type(c) is int for c in counts)
+
     def test_blank_ids_rejected(self):
         with pytest.raises(ValueError):
             ResearcherProfile(id="", h_index=1)
