@@ -8,48 +8,56 @@ comparable quality weights for committees or boards of different sizes.
 Supporting statistics for citation and h-index distributions live in
 :mod:`alphaindex.distribution`.
 
-Importing the package loads no numpy.  The names from ``distribution``,
-``ranking`` and ``synth``, the modules that use numpy, are served on first
-access (PEP 562), so the commands that compute nothing numerical
-(``validate``, ``metrics``, ``lorenz``, ``psi``) never load it.
+Importing the package loads none of its submodules.  Every public name is
+served on first access (PEP 562), so the commands that compute nothing
+numerical (``validate``, ``metrics``, ``lorenz``, ``psi``) never load numpy,
+which only ``distribution``, ``ranking`` and ``synth`` use.
 """
 
 import importlib
 
-from .errors import (
-    AlphaIndexError,
-    BinSpecError,
-    DegenerateGroupError,
-    FitDivergedError,
-    InsufficientDataError,
-    SampleSizeError,
-    SampleTooLargeError,
-    TooFewGroupsError,
-    ZeroVarianceError,
-)
-from .ingest import (
-    IngestReport,
-    read_dataset,
-    read_dataset_file,
-    read_long_form,
-    read_summary_form,
-    write_dataset,
-)
-from .metrics import (
-    GroupMetrics,
-    LorenzCurve,
-    gini,
-    group_metrics,
-    group_summary,
-    h_group,
-    h_index,
-    lorenz_curve,
-    psi_curve,
-)
-from .model import Dataset, Group, ResearcherProfile, Violation, validate
-
 # public name -> the submodule that defines it, imported on first access
 _LAZY = {
+    **dict.fromkeys(
+        (
+            "AlphaIndexError",
+            "BinSpecError",
+            "DegenerateGroupError",
+            "FitDivergedError",
+            "InsufficientDataError",
+            "SampleSizeError",
+            "SampleTooLargeError",
+            "TooFewGroupsError",
+            "ZeroVarianceError",
+        ),
+        "errors",
+    ),
+    **dict.fromkeys(
+        (
+            "IngestReport",
+            "read_dataset",
+            "read_dataset_file",
+            "read_long_form",
+            "read_summary_form",
+            "write_dataset",
+        ),
+        "ingest",
+    ),
+    **dict.fromkeys(
+        (
+            "GroupMetrics",
+            "LorenzCurve",
+            "gini",
+            "group_metrics",
+            "group_summary",
+            "h_group",
+            "h_index",
+            "lorenz_curve",
+            "psi_curve",
+        ),
+        "metrics",
+    ),
+    **dict.fromkeys(("Dataset", "Group", "ResearcherProfile", "Violation", "validate"), "model"),
     **dict.fromkeys(
         (
             "GiddingsFit",
@@ -93,58 +101,4 @@ def __dir__() -> list[str]:
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AlphaIndexError",
-    "BinSpecError",
-    "Dataset",
-    "DegenerateGroupError",
-    "FitDivergedError",
-    "GiddingsFit",
-    "Group",
-    "GroupMetrics",
-    "Histogram",
-    "IngestReport",
-    "InsufficientDataError",
-    "LorenzCurve",
-    "NormalityReport",
-    "PowerLawFit",
-    "RankingReport",
-    "RankingRow",
-    "ResearcherProfile",
-    "SampleSizeError",
-    "SampleTooLargeError",
-    "StretchedExpFit",
-    "StretchedExpParams",
-    "TooFewGroupsError",
-    "Violation",
-    "ZeroVarianceError",
-    "bessel_i1",
-    "build_histogram",
-    "empirical_moment_ratio",
-    "fit_beta",
-    "fit_giddings",
-    "giddings_eval",
-    "gini",
-    "group_metrics",
-    "group_summary",
-    "h_group",
-    "h_index",
-    "kurtosis",
-    "lorenz_curve",
-    "power_law_slope",
-    "psi_curve",
-    "rank",
-    "rank_from_precomputed",
-    "read_dataset",
-    "read_dataset_file",
-    "read_long_form",
-    "read_summary_form",
-    "relative_h_group",
-    "sample_stretched_exp",
-    "shapiro_wilk",
-    "skewness",
-    "synth_group",
-    "theoretical_moment_ratio",
-    "validate",
-    "write_dataset",
-]
+__all__ = sorted(_LAZY)

@@ -358,8 +358,7 @@ def _distfit_giddings(args, dataset) -> Result:
     from . import distribution
 
     hs = [m.h_index for g in dataset.groups for m in g.members]
-    width_or_ratio = args.bin_ratio if args.binning == "geometric" else args.bin_width
-    hist = distribution.build_histogram(hs, args.binning, width_or_ratio)
+    hist = distribution.build_histogram(hs, args.bin_width)
     fit = distribution.fit_giddings(hist)
     return _record(
         {
@@ -440,6 +439,8 @@ def _cmd_synth(args) -> Result:
         raise CliError(f"--n must be at most {_MAX_SYNTH_N}, got {args.n}")
     if args.seed < 0:
         raise CliError("--seed must be non-negative")
+    if args.group_id is not None and not args.round:
+        raise CliError("--group-id applies only with --round")
     import numpy as np
 
     from . import synth
@@ -449,7 +450,7 @@ def _cmd_synth(args) -> Result:
     samples = synth.sample_stretched_exp(params, args.n, rng, round_to_int=args.round).tolist()
 
     if args.round:
-        group = synth.synth_group(args.group_id, samples)
+        group = synth.synth_group("synthetic" if args.group_id is None else args.group_id, samples)
         rows = [[group.id, m.id, m.h_index, ""] for m in group.members]
         doc = ingest.write_dataset(Dataset((group,)))
         return Result(doc, list(ingest.SUMMARY_FORM_HEADER), rows)
@@ -513,10 +514,7 @@ def _build_parser() -> argparse.ArgumentParser:
         required=True,
         choices=("slope", "beta", "giddings", "normality", "moments"),
     )
-    # distribution.BINNING_MODES, spelled out so that building the parser loads no numpy
-    p.add_argument("--binning", choices=("linear", "geometric"), default="linear")
     p.add_argument("--bin-width", type=float, default=1.0)
-    p.add_argument("--bin-ratio", type=float, default=2.0)
     p.add_argument("--beta-grid", default=None, help="start:stop:step or comma list")
     p.add_argument("--k-grid", default=None, help="start:stop:step or comma list")
     p.set_defaults(handler=_cmd_distfit)
@@ -527,7 +525,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--round", action="store_true", help="round draws to integers and emit a summary-form dataset")
-    p.add_argument("--group-id", default="synthetic")
+    p.add_argument("--group-id", default=None, help="group id under --round (default synthetic)")
     p.set_defaults(handler=_cmd_synth)
 
     p = sub.add_parser("validate", parents=[common, reading], help="check dataset invariants")

@@ -8,8 +8,8 @@ likelihood over a beta grid), sample and theoretical moment ratios
 box bounded by the data, then one simplex run, with a peak on the box's edge
 refused by name; the Bessel function I1 from ``scipy.special``),
 excess kurtosis and skewness, a Shapiro-Wilk normality test in Royston's
-extended form (3 <= n <= 5000), and histogram construction with linear or
-geometric bins.
+extended form (3 <= n <= 5000), and histogram construction with bins of
+one fixed width.
 
 scipy is imported inside the functions that call it, never at module
 level: ``scipy.optimize`` by ``fit_giddings``, ``scipy.special`` by the
@@ -46,7 +46,6 @@ from .errors import (
 # ---------------------------------------------------------------------------
 # histograms
 
-BINNING_MODES = ("linear", "geometric")
 _MAX_BINS = 1_000_000
 
 
@@ -61,7 +60,6 @@ class Histogram:
 
     bin_edges: tuple[float, ...]
     counts: tuple[float, ...]
-    binning_mode: str
 
     def __post_init__(self):
         if len(self.bin_edges) != len(self.counts) + 1:
@@ -78,48 +76,27 @@ class Histogram:
         return tuple(hi - lo for lo, hi in zip(self.bin_edges, self.bin_edges[1:]))
 
 
-def build_histogram(
-    data: Sequence[float], mode: str, bin_width_or_ratio: float
-) -> Histogram:
-    """Histogram of ``data`` with linear (fixed width) or geometric (fixed
-    ratio) bins anchored at the data minimum.
-
-    Geometric bins suit citation-scale data spanning orders of magnitude and
-    require strictly positive values.
+def build_histogram(data: Sequence[float], bin_width: float) -> Histogram:
+    """Histogram of ``data`` with bins of one fixed width anchored at the
+    data minimum.
     """
-    if mode not in BINNING_MODES:
-        raise BinSpecError(f"unknown binning mode {mode!r}")
     xs = np.asarray(data, dtype=float)
     if xs.size == 0:
         raise BinSpecError("no data to bin")
     lo = float(xs.min())
     hi = float(xs.max())
 
-    if mode == "linear":
-        width = float(bin_width_or_ratio)
-        if width <= 1e-12:
-            raise BinSpecError(f"bin width must exceed 1e-12, got {width}")
-        if not math.isfinite(width):
-            raise BinSpecError(f"bin width must be finite, got {width}")
-        n_bins = int((hi - lo) / width) + 1
-        if n_bins > _MAX_BINS:
-            raise BinSpecError(f"{n_bins} bins exceed the {_MAX_BINS} limit")
-        edges = [lo + j * width for j in range(n_bins + 1)]
-        while edges[-1] <= hi:  # guard against float shortfall on the last edge
-            edges.append(lo + len(edges) * width)
-    else:
-        ratio = float(bin_width_or_ratio)
-        if ratio <= 1.0:
-            raise BinSpecError(f"geometric bin ratio must exceed 1, got {ratio}")
-        if not math.isfinite(ratio):
-            raise BinSpecError(f"geometric bin ratio must be finite, got {ratio}")
-        if lo <= 0:
-            raise BinSpecError("geometric binning requires positive data")
-        edges = [lo]
-        while edges[-1] <= hi:
-            edges.append(lo * ratio ** len(edges))
-            if len(edges) > _MAX_BINS:
-                raise BinSpecError(f"more than {_MAX_BINS} bins; increase the ratio")
+    width = float(bin_width)
+    if width <= 1e-12:
+        raise BinSpecError(f"bin width must exceed 1e-12, got {width}")
+    if not math.isfinite(width):
+        raise BinSpecError(f"bin width must be finite, got {width}")
+    n_bins = int((hi - lo) / width) + 1
+    if n_bins > _MAX_BINS:
+        raise BinSpecError(f"{n_bins} bins exceed the {_MAX_BINS} limit")
+    edges = [lo + j * width for j in range(n_bins + 1)]
+    while edges[-1] <= hi:  # guard against float shortfall on the last edge
+        edges.append(lo + len(edges) * width)
 
     edge_arr = np.asarray(edges)
     idx = np.searchsorted(edge_arr, xs, side="right") - 1
@@ -127,7 +104,6 @@ def build_histogram(
     return Histogram(
         bin_edges=tuple(float(e) for e in edges),
         counts=tuple(int(c) for c in counts),
-        binning_mode=mode,
     )
 
 
@@ -426,6 +402,9 @@ _ON_BOUND = 1e-6  # distance to a box bound, relative to the box's extent
 
 def fit_giddings(hist: Histogram) -> GiddingsFit:
     """Least-squares Giddings fit of bin counts at bin centers.
+
+    The counts are fitted as densities, so the bins should share one width:
+    bins that widen with h would push the fitted peak to the right.
 
     The model ``baseline + amplitude * g(h; width, center)`` is linear in
     baseline and amplitude, so for each (width, center) they are solved in

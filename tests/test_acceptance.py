@@ -229,13 +229,13 @@ def test_criterion_08_giddings_round_trip():
     centers = [0.5 * (a + b) for a, b in zip(edges, edges[1:])]
     exact = [giddings_eval(c, true) for c in centers]
 
-    fit = fit_giddings(Histogram(bin_edges=edges, counts=tuple(exact), binning_mode="linear"))
+    fit = fit_giddings(Histogram(bin_edges=edges, counts=tuple(exact)))
     for name in ("baseline", "amplitude", "width", "center"):
         assert abs(getattr(fit, name) - getattr(true, name)) / getattr(true, name) < 0.01
 
     rng = np.random.default_rng(7)
     noisy = tuple(c * (1.0 + 0.01 * rng.standard_normal()) for c in exact)
-    fit_n = fit_giddings(Histogram(bin_edges=edges, counts=noisy, binning_mode="linear"))
+    fit_n = fit_giddings(Histogram(bin_edges=edges, counts=noisy))
     for name in ("baseline", "amplitude", "width", "center"):
         assert abs(getattr(fit_n, name) - getattr(true, name)) / getattr(true, name) < 0.05
     elapsed = time.perf_counter() - start

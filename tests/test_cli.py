@@ -158,18 +158,6 @@ def test_lazy_names_are_the_submodules_objects():
         alphaindex.nonexistent
 
 
-def test_binning_choices_match_distribution():
-    # spelled out in the parser so that building it loads no numpy
-    import argparse
-
-    from alphaindex import cli, distribution
-
-    parser = cli._build_parser()
-    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    binning = next(a for a in sub.choices["distfit"]._actions if a.dest == "binning")
-    assert tuple(binning.choices) == distribution.BINNING_MODES
-
-
 def run(capsys, *argv) -> tuple[int, str, str]:
     code = main([str(a) for a in argv])
     captured = capsys.readouterr()
@@ -576,15 +564,22 @@ class TestDistfit:
         [
             (["--bin-width", "nan"], "bin width must be finite, got nan"),
             (["--bin-width", "inf"], "bin width must be finite, got inf"),
-            (["--binning", "geometric", "--bin-ratio", "inf"], "bin ratio must be finite, got inf"),
-            (["--binning", "geometric", "--bin-ratio", "nan"], "bin ratio must be finite, got nan"),
         ],
-        ids=["width-nan", "width-inf", "ratio-inf", "ratio-nan"],
+        ids=["width-nan", "width-inf"],
     )
     def test_non_finite_bin_spec_refused(self, capsys, summary_file, argv, named):
         code, out, err = run(capsys, "distfit", summary_file, "--analysis", "giddings", *argv)
         assert (code, out) == (1, "")
         assert err.startswith("error: ") and named in err
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--binning", "geometric"), ("--bin-ratio", "2")], ids=lambda v: v
+    )
+    def test_binning_flags_are_gone(self, capsys, summary_file, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["distfit", str(summary_file), "--analysis", "giddings", flag, value])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
 
     def test_normality_per_group(self, capsys, summary_file):
         code, out, _ = run(capsys, "distfit", summary_file, "--analysis", "normality", "--format", "json")
@@ -679,6 +674,15 @@ class TestSynth:
             assert err == f"error: --n must be at most {cli._MAX_SYNTH_N}, got {n}\n"
         with pytest.raises(Drawn):  # the ceiling itself is allowed
             main(["synth", "--beta", "0.3", "--n", str(cli._MAX_SYNTH_N)])
+
+    def test_group_id_without_round_is_refused(self, capsys):
+        code, out, err = run(capsys, "synth", "--beta", "0.5", "--n", "3", "--group-id", "boards")
+        assert (code, out, err) == (1, "", "error: --group-id applies only with --round\n")
+
+    def test_empty_group_id_is_refused(self, capsys):
+        code, out, err = run(capsys, "synth", "--beta", "0.5", "--n", "3", "--round", "--group-id", "")
+        assert (code, out) == (1, "")
+        assert "group id must be non-empty" in err
 
     def test_bad_beta_is_domain_error(self, capsys):
         code, _, err = run(capsys, "synth", "--beta", "0", "--n", "10")

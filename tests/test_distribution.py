@@ -237,25 +237,22 @@ def reference_histogram(noise_seed=None):
     if noise_seed is not None:
         rng = np.random.default_rng(noise_seed)
         counts = [c * (1.0 + 0.01 * rng.standard_normal()) for c in counts]
-    return Histogram(bin_edges=edges, counts=tuple(counts), binning_mode="linear")
+    return Histogram(bin_edges=edges, counts=tuple(counts))
 
 
 # pooled h-indexes of 5k members in bins of width 10
 POOLED_H = Histogram(
     bin_edges=tuple(float(e) for e in range(1, 82, 10)),
     counts=(938, 1808, 1246, 641, 241, 94, 29, 3),
-    binning_mode="linear",
 )
 # histograms with no peak inside the binned range
 RISING = Histogram(
     bin_edges=tuple(float(e) for e in range(1, 9)),
     counts=(1.0, 2.0, 3.0, 5.0, 8.0, 13.0, 21.0),
-    binning_mode="linear",
 )
 STEP = Histogram(
     bin_edges=tuple(float(e) for e in range(2, 10)),
     counts=(3.0, 3.0, 2.0, 2.0, 2.0, 2.0, 2.0),
-    binning_mode="linear",
 )
 
 
@@ -280,7 +277,6 @@ class TestFitGiddings:
         hist = Histogram(
             bin_edges=(1.0, 2.0, 3.0, 4.0, 5.0, 6.0),
             counts=(1.0, 4.0, 9.0, 4.0, 1.0),
-            binning_mode="linear",
         )
         with pytest.raises(InsufficientDataError):
             fit_giddings(hist)
@@ -306,9 +302,7 @@ class TestFitGiddings:
         assert fit.amplitude == pytest.approx(amplitude, rel=1e-9)
 
     def test_constant_counts_fit_the_baseline_alone(self):
-        hist = Histogram(
-            bin_edges=tuple(float(e) for e in range(1, 9)), counts=(5.0,) * 7, binning_mode="linear"
-        )
+        hist = Histogram(bin_edges=tuple(float(e) for e in range(1, 9)), counts=(5.0,) * 7)
         fit = fit_giddings(hist)
         assert (fit.amplitude, fit.baseline, fit.residual_ss) == (0.0, 5.0, 0.0)
 
@@ -319,7 +313,6 @@ class TestFitGiddings:
         hist = Histogram(
             bin_edges=tuple(float(e) for e in range(1, 12)),
             counts=(20.0, 15.0, 10.0, 6.0, 3.0, 2.0, 3.0, 6.0, 10.0, 15.0),
-            binning_mode="linear",
         )
         fit = fit_giddings(hist)
         want = GiddingsFit(
@@ -349,9 +342,7 @@ class TestFitGiddings:
 
     def test_constant_counts_from_zero_keep_a_positive_center(self):
         # the box's first edge is 0, where the peak shape vanishes
-        hist = Histogram(
-            bin_edges=tuple(float(e) for e in range(8)), counts=(5.0,) * 7, binning_mode="linear"
-        )
+        hist = Histogram(bin_edges=tuple(float(e) for e in range(8)), counts=(5.0,) * 7)
         fit = fit_giddings(hist)
         assert (fit.amplitude, fit.baseline, fit.residual_ss) == (0.0, 5.0, 0.0)
         assert fit.center > 0
@@ -409,35 +400,22 @@ class TestShapeStatistics:
 
 class TestBuildHistogram:
     def test_linear_enumeration(self):
-        hist = build_histogram([1, 1, 2, 3], "linear", 1.0)
+        hist = build_histogram([1, 1, 2, 3], 1.0)
         assert hist.bin_edges == (1.0, 2.0, 3.0, 4.0)
         assert hist.counts == (2, 1, 1)
 
     def test_single_value(self):
-        hist = build_histogram([5.0], "linear", 1.0)
+        hist = build_histogram([5.0], 1.0)
         assert hist.counts == (1,)
-
-    def test_geometric_enumeration(self):
-        hist = build_histogram([1, 10, 100], "geometric", 10.0)
-        assert hist.counts == (1, 1, 1)
-        assert hist.bin_edges == (1.0, 10.0, 100.0, 1000.0)
 
     def test_counts_conserved(self, rng):
         for _ in range(30):
             data = rng.integers(1, 500, size=int(rng.integers(1, 200)))
-            hist = build_histogram([int(v) for v in data], "linear", float(rng.uniform(0.5, 20)))
+            hist = build_histogram([int(v) for v in data], float(rng.uniform(0.5, 20)))
             assert sum(hist.counts) == len(data)
-            hist_g = build_histogram([int(v) for v in data], "geometric", float(rng.uniform(1.3, 4)))
-            assert sum(hist_g.counts) == len(data)
 
     def test_bad_specs(self):
         with pytest.raises(BinSpecError):
-            build_histogram([1.0, 2.0], "linear", 0.0)
+            build_histogram([1.0, 2.0], 0.0)
         with pytest.raises(BinSpecError):
-            build_histogram([1.0, 2.0], "geometric", 1.0)
-        with pytest.raises(BinSpecError):
-            build_histogram([0.0, 2.0], "geometric", 2.0)
-        with pytest.raises(BinSpecError):
-            build_histogram([], "linear", 1.0)
-        with pytest.raises(BinSpecError):
-            build_histogram([1.0], "triangular", 1.0)
+            build_histogram([], 1.0)
