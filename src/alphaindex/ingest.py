@@ -371,16 +371,25 @@ def _parse_member(raw, path: str, errors: list[str]) -> ResearcherProfile | None
 
 
 def _is_entry(raw, keys: set[str], path: str, errors: list[str]) -> bool:
-    """Whether ``raw`` is an object of known ``keys`` with a non-empty string id."""
+    """Whether ``raw`` is an object of known ``keys`` with a non-empty id UTF-8 can encode."""
     if not isinstance(raw, dict):
         errors.append(f"{path}: expected an object")
     elif set(raw) - keys:
         errors.append(f"{path}: unknown key(s) {sorted(set(raw) - keys)}")
-    elif not isinstance(raw.get("id"), str) or not raw["id"]:
+    elif not isinstance(raw.get("id"), str) or not raw["id"] or not _is_utf8(raw["id"]):
         errors.append(f"{path}: missing or invalid 'id'")
     else:
         return True
     return False
+
+
+def _is_utf8(text: str) -> bool:
+    """False for a lone surrogate, which a JSON escape can spell and no output can encode."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
 
 
 def _is_count(value) -> bool:

@@ -8,21 +8,22 @@ floored at :data:`GINI_FLOOR`, normalized so the weights sum to 1:
 homogeneous groups are amplified, top-heavy ones damped; an all-zero score
 total raises ``ValueError``.
 
-Determinism: every sample draws from a stream derived from
-``(seed, group position, sample index)``, so reports are bit-identical for
-identical inputs regardless of evaluation order, parallelism, or how the
-sampling kernel batches the samples.
+Determinism: each group is sampled on a stream keyed by the seed and its
+id, over its sorted h-values, so reordering rows, groups or members changes
+no output byte, and neither does evaluation order or kernel batching.
 """
 
 from __future__ import annotations
 
+import hashlib
+import math
 from collections.abc import Iterable, Sequence
 from dataclasses import asdict, dataclass
 
 from . import _kernels
 from .errors import SampleTooLargeError, TooFewGroupsError
 from .metrics import gini, h_group
-from .model import Group
+from .model import MAX_COUNT, Group
 
 _MAX_SEED = 2**64 - 1
 
@@ -31,36 +32,32 @@ _MAX_SEED = 2**64 - 1
 GINI_FLOOR = 1e-3
 
 
-def _check_stream(seed: int, key: int) -> None:
-    """Refuse a sampling stream the kernel cannot tell apart from another."""
-    if not 0 <= seed <= _MAX_SEED:
-        raise ValueError("seed must fit in 64 unsigned bits")
-    if key < 0:
-        raise ValueError("key must be non-negative")
-
-
 def relative_h_group(
     target: Group,
     sample_size: int,
     n_samples: int = 1000,
     seed: int = 0,
-    key: int = 0,
 ) -> float:
     """Mean h-index of random fixed-size subsets of the target's members.
 
     Subsets are drawn uniformly without replacement from the member h-index
-    multiset, on the deterministic stream ``(seed, key)``.  With
+    multiset, on the stream keyed by ``seed`` and the target's id over the
+    sorted h-values, so member order and other groups do not matter.  With
     ``sample_size`` equal to the group size the result is the group's
     absolute h-group exactly, for any stream.
     """
-    _check_stream(seed, key)
-    hs = target.h_values()
+    if not 0 <= seed <= _MAX_SEED:  # the kernel could not tell it from another seed
+        raise ValueError("seed must fit in 64 unsigned bits")
+    hs = sorted(target.h_values())
     if sample_size < 1:
         raise ValueError(f"sample_size must be positive, got {sample_size}")
     if sample_size > len(hs):
         raise SampleTooLargeError(
             f"sample_size {sample_size} exceeds group {target.id!r} size {len(hs)}"
         )
+    # surrogatepass encodes every str, so no id can make the key raise
+    digest = hashlib.blake2b(target.id.encode("utf-8", "surrogatepass"), digest_size=8).digest()
+    key = int.from_bytes(digest, "little")
     return _kernels.subset_hindex_sum(hs, sample_size, n_samples, seed, key) / n_samples
 
 
@@ -112,15 +109,15 @@ def rank(groups: Sequence[Group], n_samples: int = 1000, seed: int = 0) -> Ranki
     Steps: (1) the smallest group is the reference (ties broken by
     lexicographic group id); (2) each group's relative h-group is estimated
     from ``n_samples`` subsets of the reference's size, on the stream keyed
-    by ``seed`` and the group's position; (3) alpha weights are relative
+    by ``seed`` and the group's id; (3) alpha weights are relative
     h-group over gini floored at :data:`GINI_FLOOR`, normalized to sum to 1.
     The reference is sampled whole, so its relative h-group is its h-group,
     at least 1 for a group :func:`gini` accepts, and the weights are always
-    defined.  Rows are sorted by descending alpha, ties broken by group id.
+    defined.  Rows are sorted by descending alpha, ties broken by group id,
+    and floored ids are sorted, so the order of the input changes nothing.
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be positive, got {n_samples}")
-    _check_stream(seed, 0)
     groups = list(groups)
     if len(groups) < 2:
         raise TooFewGroupsError(f"ranking needs at least 2 groups, got {len(groups)}")
@@ -131,9 +128,7 @@ def rank(groups: Sequence[Group], n_samples: int = 1000, seed: int = 0) -> Ranki
     reference = min(groups, key=lambda g: (len(g.members), g.id))
     size = len(reference.members)
     ginis = [gini(g) for g in groups]  # raises DegenerateGroupError with the group named
-    relatives = [
-        relative_h_group(g, size, n_samples, seed, pos) for pos, g in enumerate(groups)
-    ]
+    relatives = [relative_h_group(g, size, n_samples, seed) for g in groups]
     absolutes = [h_group(g) for g in groups]
     return _weigh(ids, ginis, absolutes, relatives, (reference.id, size, seed, n_samples))
 
@@ -142,9 +137,10 @@ def rank_from_precomputed(rows: Iterable[tuple[str, float, float]]) -> RankingRe
     """Alpha weights from precomputed (group_id, relative h-group, gini) rows.
 
     Applies only the normalization step, which lets published summary tables
-    be re-weighted without the raw member data.  Gini values below
-    :data:`GINI_FLOOR`, zero and negative ones included, are clamped to it,
-    never rejected.
+    be re-weighted without the raw member data.  A relative h-group must be
+    a number in [0, 10**50], the model's count ceiling, so no score sum
+    overflows, and a Gini value must be finite.  Gini values below
+    :data:`GINI_FLOOR`, zero and negative ones included, are clamped to it.
     """
     rows = list(rows)
     if not rows:
@@ -153,16 +149,18 @@ def rank_from_precomputed(rows: Iterable[tuple[str, float, float]]) -> RankingRe
     if len(set(ids)) != len(ids):
         raise ValueError("group ids must be unique for ranking")
     relatives = [float(rel) for _, rel, _ in rows]
-    if any(rel < 0 for rel in relatives):
-        raise ValueError("relative h-group values must be non-negative")
+    if not all(0 <= rel <= MAX_COUNT for rel in relatives):  # false for nan too
+        raise ValueError("relative h-group values must be finite and in [0, 10**50]")
     ginis = [float(gv) for _, _, gv in rows]
+    if not all(map(math.isfinite, ginis)):
+        raise ValueError("gini values must be finite")
     return _weigh(ids, ginis, [None] * len(ids), relatives, (None,) * 4)
 
 
 def _weigh(ids, ginis, absolutes, relatives, provenance) -> RankingReport:
     """The ranked report; ``provenance`` is (reference id, reference size, seed, samples)."""
     scores = [rel / max(gv, GINI_FLOOR) for rel, gv in zip(relatives, ginis)]
-    total = sum(scores)
+    total = math.fsum(scores)
     if total == 0:
         raise ValueError("all scores are zero; alpha weights are undefined")
     alphas = [s / total for s in scores]
@@ -171,5 +169,5 @@ def _weigh(ids, ginis, absolutes, relatives, provenance) -> RankingReport:
         RankingRow(ids[i], ginis[i], absolutes[i], relatives[i], alphas[i], pos)
         for pos, i in enumerate(order, start=1)
     )
-    floored = tuple(gid for gid, gv in zip(ids, ginis) if gv < GINI_FLOOR)
+    floored = tuple(sorted(gid for gid, gv in zip(ids, ginis) if gv < GINI_FLOOR))
     return RankingReport(rows, *provenance, floored)

@@ -88,7 +88,7 @@ def synth_group(
 ) -> Group:
     """Group whose members carry the given h-indexes and no per-paper data."""
     members = tuple(
-        ResearcherProfile(id=f"{group_id}-m{i:03d}", h_index=int(h))
+        ResearcherProfile(id=f"{group_id}-m{i:03d}", h_index=h)
         for i, h in enumerate(member_hs, start=1)
     )
     return Group(id=group_id, members=members, label=label, quality_tag=quality_tag)

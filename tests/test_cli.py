@@ -13,7 +13,7 @@ import pytest
 import alphaindex
 from alphaindex.cli import main
 from alphaindex.ingest import write_dataset
-from alphaindex.model import Dataset
+from alphaindex.model import Dataset, Group
 from alphaindex.synth import synth_group
 
 DOCS = Path(__file__).resolve().parent.parent / "docs"
@@ -263,6 +263,31 @@ class TestRank:
             assert code == 0
             outs.append(dest.read_bytes())
         assert outs[0] == outs[1]
+
+    def test_output_independent_of_group_and_member_order(self, capsys, tmp_path):
+        # two flat groups (gini 0) are floored, so the warnings' order counts too
+        rng = np.random.default_rng(7)
+        path = tmp_path / "groups.json"
+
+        def shuffled(items):
+            return [items[i] for i in rng.permutation(len(items))]
+
+        for trial in range(5):
+            groups = [
+                synth_group(f"g{pos}", rng.integers(1, 60, size=int(rng.integers(20, 81))))
+                for pos in range(int(rng.integers(4, 7)))
+            ]
+            groups += [synth_group("flat-b", [9] * 30), synth_group("flat-a", [7] * 25)]
+            reordered = [Group(g.id, tuple(shuffled(g.members))) for g in shuffled(groups)]
+            for fmt in ("table", "csv", "json"):
+                outputs = []
+                for dataset in (Dataset(tuple(groups)), Dataset(tuple(reordered))):
+                    path.write_text(json.dumps(write_dataset(dataset)), encoding="utf-8")
+                    outputs.append(run(capsys, "rank", path, "--seed", trial,
+                                       "--samples", "200", "--format", fmt))
+                assert outputs[0][0] == 0
+                assert "'flat-a'" in outputs[0][2]
+                assert outputs[0] == outputs[1]
 
     def test_json_schema_and_provenance(self, capsys, two_group_file):
         code, out, _ = run(

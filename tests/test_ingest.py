@@ -294,6 +294,15 @@ class TestJsonDocuments:
         report = read_dataset(doc)
         assert not report.ok
 
+    @pytest.mark.parametrize("where", ["groups[0]", "groups[0].members[0]"])
+    def test_id_with_lone_surrogate_rejected_at_path(self, where):
+        # a JSON escape can spell this str, which no output can encode
+        doc = {"groups": [{"id": "g", "members": [{"id": "r", "h_index": 1}]}]}
+        entry = doc["groups"][0] if where == "groups[0]" else doc["groups"][0]["members"][0]
+        entry["id"] = "a\ud800"
+        report = read_dataset(doc)
+        assert report.errors == (f"{where}: missing or invalid 'id'",)
+
     def test_boolean_not_accepted_as_integer(self):
         doc = {"groups": [{"id": "g", "members": [{"id": "r", "h_index": True}]}]}
         assert not read_dataset(doc).ok

@@ -54,14 +54,19 @@ class TestRelativeHGroup:
         for _ in range(50):
             group = random_group(rng, max_n=25)
             size = int(rng.integers(1, len(group.members) + 1))
-            rel = relative_h_group(group, size, 200, seed=5, key=1)
+            rel = relative_h_group(group, size, 200, seed=5)
             assert rel <= h_group(group) + 1e-12
             assert rel <= size
 
-    @pytest.mark.parametrize("param, value", [("seed", 2**64), ("seed", -1), ("key", -1)])
+    @pytest.mark.parametrize("param, value", [("seed", 2**64), ("seed", -1)])
     def test_stream_validation(self, param, value):
         with pytest.raises(ValueError, match=param):
             relative_h_group(synth_group("g", [4, 3, 2, 1]), 2, 100, **{param: value})
+
+    def test_stream_key_is_not_settable(self):
+        # the stream is keyed by the group id, never by the caller
+        with pytest.raises(TypeError, match="key"):
+            relative_h_group(synth_group("g", [4, 3, 2, 1]), 2, 100, key=0)
 
 
 class TestRank:
@@ -121,13 +126,29 @@ class TestRank:
         assert first == second
 
     def test_result_independent_of_group_order_values(self):
-        # streams are keyed by position, so per-group estimates move with
-        # their position; the full-size case is exact and order-proof
         groups = [synth_group("a", [5, 5, 5]), synth_group("b", [7, 7, 7])]
         fwd = rank(groups, n_samples=100, seed=5)
         rev = rank(groups[::-1], n_samples=100, seed=5)
         assert {(r.group_id, r.alpha) for r in fwd.rows} == \
             {(r.group_id, r.alpha) for r in rev.rows}
+
+    def test_added_larger_group_leaves_other_estimates(self, rng):
+        # a group's stream depends on the seed and its own id and members, so
+        # a group that leaves the reference size as it is changes no estimate,
+        # even when it comes first
+        for trial in range(20):
+            groups = [
+                synth_group(f"g{pos}", rng.integers(1, 40, size=int(rng.integers(5, 30))))
+                for pos in range(int(rng.integers(2, 6)))
+            ]
+            size = min(len(g.members) for g in groups)
+            extra = synth_group("extra", rng.integers(1, 40, size=size + int(rng.integers(1, 20))))
+            before = rank(groups, n_samples=300, seed=trial)
+            after = rank([extra] + groups, n_samples=300, seed=trial)
+            assert after.reference_size == before.reference_size
+            estimates = {r.group_id: r.relative_h_group for r in after.rows}
+            for row in before.rows:
+                assert estimates[row.group_id] == row.relative_h_group
 
     @pytest.mark.parametrize("field, value", [("n_samples", 0), ("seed", -1), ("seed", 2**64)])
     def test_config_validation(self, field, value):
@@ -187,6 +208,20 @@ class TestRankFromPrecomputed:
     def test_precomputed_rows_have_no_absolute_column(self):
         report = rank_from_precomputed([("x", 2.0, 0.3), ("y", 1.0, 0.4)])
         assert all(r.h_group is None for r in report.rows)
+
+    @pytest.mark.parametrize("rows, column", [
+        ([("bad", float("nan"), 0.3)], "relative h-group"),
+        ([("bad", float("inf"), 0.3)], "relative h-group"),
+        ([("bad", -1.0, 0.3)], "relative h-group"),
+        # each score is finite, their sum is not
+        ([("big", 1e305, 0.001), ("bigger", 1e305, 0.001)], "relative h-group"),
+        ([("bad", 4.0, float("nan"))], "gini"),
+        ([("bad", 4.0, float("inf"))], "gini"),
+        ([("bad", 4.0, float("-inf"))], "gini"),
+    ])
+    def test_values_that_give_no_weight_refused_by_column(self, rows, column):
+        with pytest.raises(ValueError, match=f"{column} values must be finite"):
+            rank_from_precomputed(rows + [("ok", 5.0, 0.4)])
 
     def test_all_zero_scores_refused(self):
         with pytest.raises(ValueError, match="all scores are zero"):

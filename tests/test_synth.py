@@ -83,6 +83,11 @@ class TestSynthGroup:
         group = synth_group("g", [5])
         assert len(group.members) == 1
 
+    @pytest.mark.parametrize("h", [2.7, "3"])
+    def test_non_integer_h_refused_not_coerced(self, h):
+        with pytest.raises(TypeError, match="h_index must be an integer"):
+            synth_group("g", [4, h])
+
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             synth_group("g", [])
