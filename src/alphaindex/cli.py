@@ -168,11 +168,13 @@ def _cmd_metrics(args) -> Result:
 def _cmd_rank(args) -> Result:
     from . import ranking
 
-    dataset = _load_dataset(args)
     if args.samples < 1:
         raise CliError(f"--samples must be positive, got {args.samples}")
     if args.seed < 0:
         raise CliError("--seed must be non-negative")
+    if args.seed >= 2**64:
+        raise CliError("--seed must fit in 64 unsigned bits")
+    dataset = _load_dataset(args)
     report = ranking.rank(dataset.groups, n_samples=args.samples, seed=args.seed)
     for gid in report.floored_group_ids:
         _warn(args, f"group {gid!r} gini below floor {ranking.GINI_FLOOR}; clamped")
@@ -441,6 +443,8 @@ def _cmd_synth(args) -> Result:
         raise CliError("--seed must be non-negative")
     if args.group_id is not None and not args.round:
         raise CliError("--group-id applies only with --round")
+    if args.group_id is not None and ingest._has_control(args.group_id):
+        raise CliError("--group-id must not contain a control character")
     import numpy as np
 
     from . import synth

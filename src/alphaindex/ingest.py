@@ -6,7 +6,8 @@ here) and *summary form* with one row per researcher.  A JSON document
 format round-trips datasets losslessly.  Parsers never raise on bad content;
 every problem is collected into the returned :class:`IngestReport` with its
 row number or document path.  A count above :data:`model.MAX_COUNT` is such a
-problem, and so is a file that is not UTF-8 text.
+problem, and so are a file that is not UTF-8 text and an id that holds a
+control character, which would break the line it is printed on.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import csv
 import json
 import operator
 import os
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -82,6 +84,22 @@ def _not_utf8(exc: UnicodeDecodeError) -> str:
     return f"not UTF-8 text: byte 0x{exc.object[exc.start]:02x}: {exc.reason}"
 
 
+# C0 and C1 controls, DEL, and the line and paragraph separators: an id
+# holding one would break a line of output or reach a terminal raw
+_CONTROL = re.compile("[\x00-\x1f\x7f-\x9f\u2028\u2029]")
+_CONTROL_ID = "group_id or researcher_id contains a control character"
+
+
+def _has_control(*ids: str) -> bool:
+    """Whether any of ``ids`` holds a character that :data:`_CONTROL` matches.
+
+    The readers test ``str.isprintable`` first and call this only when it
+    fails: that test runs at C speed and passes nearly every id, but it also
+    fails on characters an id may hold, such as NBSP and ZWNJ.
+    """
+    return any(_CONTROL.search(i) for i in ids)
+
+
 def _report(errors: list[str], groups: dict[str, list], warnings: tuple | list = ()) -> IngestReport:
     """No dataset if anything went wrong, else one group per ``groups`` entry."""
     if errors:
@@ -135,6 +153,9 @@ def read_long_form(source) -> IngestReport:
             if cites is None:
                 continue
             if rid != run_rid or gid != run_gid:
+                if not (gid.isprintable() and rid.isprintable()) and _has_control(gid, rid):
+                    errors.append(f"row {lineno}: {_CONTROL_ID}")
+                    continue
                 run_gid, run_rid = gid, rid
                 member = papers.get((gid, rid))
                 if member is None:
@@ -206,37 +227,50 @@ def read_summary_form(source) -> IngestReport:
 
     ``source`` is as for :func:`read_long_form`.  ``total_citations`` may
     be empty; such members are kept with a warning since
-    citation-distribution analyses will have to exclude them.
+    citation-distribution analyses will have to exclude them.  Members keep
+    file order within their group, and groups their first appearance.  A
+    group is looked up once per run of consecutive rows naming it, so a file
+    that lists each group's members together costs one lookup per group; a
+    group whose rows resume later still merges into its first entry.  A
+    researcher repeated within one group is an error, wherever in the file
+    the repeat appears.
     """
     if isinstance(source, (str, Path)):
         with open(source, encoding="utf-8-sig", newline="") as fh:
             return read_summary_form(fh)
     errors: list[str] = []
     warnings: list[str] = []
-    members: dict[str, list[ResearcherProfile]] = {}
-    seen: set[tuple[str, str]] = set()
+    groups: dict[str, list[ResearcherProfile]] = {}
+    member_ids: dict[str, set[str]] = {}  # per group, the ids in its list
 
     rows, columns = _read_header(source, SUMMARY_FORM_HEADER, errors)
     if columns is None:
-        return _report(errors, members, warnings)
+        return _report(errors, groups, warnings)
 
-    g_col, r_col, h_col, t_col = columns
+    fields = operator.itemgetter(*columns)
+    width = len(SUMMARY_FORM_HEADER)
+    run_gid = None  # the group of the previous valid row
+    members: list[ResearcherProfile] = []
+    ids: set[str] = set()
     lineno = 1
     try:
         for lineno, row in enumerate(rows, start=2):
-            if len(row) != len(SUMMARY_FORM_HEADER):
-                errors.append(f"row {lineno}: expected {len(SUMMARY_FORM_HEADER)} fields, got {len(row)}")
+            if len(row) != width:
+                errors.append(f"row {lineno}: expected {width} fields, got {len(row)}")
                 continue
-            gid = row[g_col].strip()
-            rid = row[r_col].strip()
-            h_raw = row[h_col].strip()
-            total_raw = row[t_col].strip()
+            gid, rid, h_raw, total_raw = fields(row)
+            gid = gid.strip()
+            rid = rid.strip()
             if not gid or not rid:
                 errors.append(f"row {lineno}: blank group_id or researcher_id")
                 continue
-            h = _parse_count(h_raw, "h_index", lineno, errors)
+            if not (gid.isprintable() and rid.isprintable()) and _has_control(gid, rid):
+                errors.append(f"row {lineno}: {_CONTROL_ID}")
+                continue
+            h = _parse_count(h_raw.strip(), "h_index", lineno, errors)
             if h is None:
                 continue
+            total_raw = total_raw.strip()
             total: int | None = None
             if total_raw:
                 total = _parse_count(total_raw, "total_citations", lineno, errors)
@@ -252,13 +286,17 @@ def read_summary_form(source) -> IngestReport:
                     f"row {lineno}: {rid!r} has no total_citations; "
                     "citation-distribution analyses will exclude this member"
                 )
-            if (gid, rid) in seen:
+            if gid != run_gid:
+                run_gid = gid
+                if gid not in groups:
+                    groups[gid] = []
+                    member_ids[gid] = set()
+                members, ids = groups[gid], member_ids[gid]
+            if rid in ids:
                 errors.append(f"row {lineno}: duplicate researcher {rid!r} in group {gid!r}")
                 continue
-            seen.add((gid, rid))
-            members.setdefault(gid, []).append(
-                ResearcherProfile(id=rid, h_index=h, total_citations=total)
-            )
+            ids.add(rid)
+            members.append(ResearcherProfile(rid, h, total))
     except csv.Error as exc:  # e.g. a field past csv.field_size_limit()
         lineno += 1
         errors.append(f"row {lineno}: {exc}")
@@ -267,7 +305,7 @@ def read_summary_form(source) -> IngestReport:
 
     if lineno == 1 and not errors:
         errors.append("no data rows")
-    return _report(errors, members, warnings)
+    return _report(errors, groups, warnings)
 
 
 # ---------------------------------------------------------------------------
@@ -371,25 +409,26 @@ def _parse_member(raw, path: str, errors: list[str]) -> ResearcherProfile | None
 
 
 def _is_entry(raw, keys: set[str], path: str, errors: list[str]) -> bool:
-    """Whether ``raw`` is an object of known ``keys`` with a non-empty id UTF-8 can encode."""
+    """Whether ``raw`` is an object of known ``keys`` with a non-empty, printable id."""
     if not isinstance(raw, dict):
         errors.append(f"{path}: expected an object")
     elif set(raw) - keys:
         errors.append(f"{path}: unknown key(s) {sorted(set(raw) - keys)}")
-    elif not isinstance(raw.get("id"), str) or not raw["id"] or not _is_utf8(raw["id"]):
+    elif not isinstance(raw.get("id"), str) or not raw["id"] or not _is_printable(raw["id"]):
         errors.append(f"{path}: missing or invalid 'id'")
     else:
         return True
     return False
 
 
-def _is_utf8(text: str) -> bool:
-    """False for a lone surrogate, which a JSON escape can spell and no output can encode."""
+def _is_printable(text: str) -> bool:
+    """False for a lone surrogate, which a JSON escape can spell and no output can
+    encode, and for a control character (see :func:`_has_control`)."""
     try:
         text.encode("utf-8")
     except UnicodeEncodeError:
         return False
-    return True
+    return text.isprintable() or not _has_control(text)
 
 
 def _is_count(value) -> bool:

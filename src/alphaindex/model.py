@@ -1,9 +1,11 @@
 """Domain model: researcher profiles, groups, datasets, and validation.
 
-All types are immutable after construction and therefore safe to share
-across threads.  Construction enforces only structural sanity (non-negative
-counts, non-empty groups); cross-field consistency is checked by
-:func:`validate`, which reports violations as data rather than raising.
+A profile is a named tuple, since readers build one per row; the other
+types are frozen dataclasses.  All are immutable after construction and
+therefore safe to share across threads.  Construction enforces only
+structural sanity (integer, non-negative counts, non-empty groups);
+cross-field consistency is checked by :func:`validate`, which reports
+violations as data rather than raising.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import operator
 from collections import Counter
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 #: Ceiling on every count: ``h_index``, ``total_citations`` and per-paper
 #: citations.  Below it the squares and fourth powers of deviations
@@ -20,9 +23,15 @@ from dataclasses import dataclass, field
 MAX_COUNT = 10**50
 
 
-@dataclass(frozen=True)
-class ResearcherProfile:
-    """One group member.
+class _ProfileFields(NamedTuple):
+    id: str
+    h_index: int
+    total_citations: int | None = None
+    paper_citations: tuple[int, ...] | None = None
+
+
+class ResearcherProfile(_ProfileFields):
+    """One group member, as a named tuple of four fields checked on construction.
 
     ``paper_citations`` (citations per paper) is optional: public datasets
     often publish only the summary fields.  When it is present, ``h_index``
@@ -30,43 +39,49 @@ class ResearcherProfile:
     :func:`validate` checks.  Every count must be an integer: numpy integers
     are stored as ``int``, and a float or string raises ``TypeError`` naming
     the field.
+
+    Being a tuple, a profile compares equal to the tuple of its fields, can
+    be unpacked, and has ``_fields`` and ``_asdict``.  Its fields cannot be
+    assigned, and ``_replace``, ``_make``, ``copy`` and ``pickle`` all build
+    through the checks here.
     """
 
-    id: str
-    h_index: int
-    total_citations: int | None = None
-    paper_citations: tuple[int, ...] | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        h, total = self.h_index, self.total_citations
-        if not self.id:
+    def __new__(cls, id: str, h_index: int, total_citations: int | None = None,
+                paper_citations: tuple[int, ...] | None = None):
+        h, total, papers = h_index, total_citations, paper_citations
+        if not id:
             raise ValueError("researcher id must be non-empty")
         # plain ints pass as they are; anything else goes through
         # operator.index, which takes numpy integers and refuses floats and
         # strings (int() would truncate or parse them)
         if type(h) is not int or (total is not None and type(total) is not int):
-            h = _count(h, self.id, "h_index")
-            total = None if total is None else _count(total, self.id, "total_citations")
-            object.__setattr__(self, "h_index", h)
-            object.__setattr__(self, "total_citations", total)
+            h = _count(h, id, "h_index")
+            total = None if total is None else _count(total, id, "total_citations")
         if h < 0:
-            raise ValueError(f"{self.id}: h_index must be non-negative")
+            raise ValueError(f"{id}: h_index must be non-negative")
         if total is not None and total < 0:
-            raise ValueError(f"{self.id}: total_citations must be non-negative")
+            raise ValueError(f"{id}: total_citations must be non-negative")
         if h > MAX_COUNT or (total or 0) > MAX_COUNT:
-            raise ValueError(f"{self.id}: counts must not exceed 10**50")
-        if self.paper_citations is not None:
+            raise ValueError(f"{id}: counts must not exceed 10**50")
+        if papers is not None:
             try:
-                papers = tuple(map(operator.index, self.paper_citations))
+                papers = tuple(map(operator.index, papers))
             except TypeError:
                 raise TypeError(
-                    f"{self.id}: paper_citations must be integers, got {self.paper_citations!r}"
+                    f"{id}: paper_citations must be integers, got {paper_citations!r}"
                 ) from None
             if min(papers, default=0) < 0:
-                raise ValueError(f"{self.id}: paper citation counts must be non-negative")
+                raise ValueError(f"{id}: paper citation counts must be non-negative")
             if max(papers, default=0) > MAX_COUNT:
-                raise ValueError(f"{self.id}: counts must not exceed 10**50")
-            object.__setattr__(self, "paper_citations", papers)
+                raise ValueError(f"{id}: counts must not exceed 10**50")
+        return tuple.__new__(cls, (id, h, total, papers))
+
+    @classmethod
+    def _make(cls, iterable) -> ResearcherProfile:
+        # the inherited _make, which _replace calls, skips __new__
+        return cls(*iterable)
 
 
 def _count(value, rid: str, name: str) -> int:

@@ -1,10 +1,12 @@
-"""Reference long-form reader: one global set of (group, researcher, paper).
+"""Reference tabular readers: one file-wide set of tuples, one ``setdefault`` per row.
 
-The row loop of :func:`alphaindex.ingest.read_long_form` before it looked a
-member up once per run of rows: every row builds and checks a 3-tuple in one
-file-wide set and appends through ``dict.setdefault``.  It shares the
+These are the row loops of :func:`alphaindex.ingest.read_long_form` and
+:func:`alphaindex.ingest.read_summary_form` before they looked a member or a
+group up once per run of rows: every row builds and checks a tuple in one
+file-wide set and appends through ``dict.setdefault``.  They share the
 header, count and report helpers with the package, so the tests that compare
-the two readers check only the row loop.  The package does not use it.
+the readers check only the row loops.  Neither knows of control characters
+in ids, so the comparisons feed them none.  The package does not use them.
 """
 
 import csv
@@ -76,3 +78,67 @@ def read_long_form(source) -> ingest.IngestReport:
             )
         )
     return ingest._report(errors, groups)
+
+
+def read_summary_form(source) -> ingest.IngestReport:
+    """What :func:`alphaindex.ingest.read_summary_form` must return for ``source``."""
+    if isinstance(source, (str, Path)):
+        with open(source, encoding="utf-8-sig", newline="") as fh:
+            return read_summary_form(fh)
+    errors: list[str] = []
+    warnings: list[str] = []
+    members: dict[str, list[ResearcherProfile]] = {}
+    seen: set[tuple[str, str]] = set()
+
+    rows, columns = ingest._read_header(source, ingest.SUMMARY_FORM_HEADER, errors)
+    if columns is None:
+        return ingest._report(errors, members, warnings)
+
+    g_col, r_col, h_col, t_col = columns
+    lineno = 1
+    try:
+        for lineno, row in enumerate(rows, start=2):
+            if len(row) != len(ingest.SUMMARY_FORM_HEADER):
+                errors.append(
+                    f"row {lineno}: expected {len(ingest.SUMMARY_FORM_HEADER)} fields, got {len(row)}"
+                )
+                continue
+            gid = row[g_col].strip()
+            rid = row[r_col].strip()
+            h_raw = row[h_col].strip()
+            total_raw = row[t_col].strip()
+            if not gid or not rid:
+                errors.append(f"row {lineno}: blank group_id or researcher_id")
+                continue
+            h = ingest._parse_count(h_raw, "h_index", lineno, errors)
+            if h is None:
+                continue
+            total = None
+            if total_raw:
+                total = ingest._parse_count(total_raw, "total_citations", lineno, errors)
+                if total is None:
+                    continue
+                if h > total:
+                    errors.append(f"row {lineno}: h_index {h} exceeds total_citations {total}")
+                    continue
+            else:
+                warnings.append(
+                    f"row {lineno}: {rid!r} has no total_citations; "
+                    "citation-distribution analyses will exclude this member"
+                )
+            if (gid, rid) in seen:
+                errors.append(f"row {lineno}: duplicate researcher {rid!r} in group {gid!r}")
+                continue
+            seen.add((gid, rid))
+            members.setdefault(gid, []).append(
+                ResearcherProfile(id=rid, h_index=h, total_citations=total)
+            )
+    except csv.Error as exc:
+        lineno += 1
+        errors.append(f"row {lineno}: {exc}")
+    except UnicodeDecodeError as exc:
+        errors.append(ingest._not_utf8(exc))
+
+    if lineno == 1 and not errors:
+        errors.append("no data rows")
+    return ingest._report(errors, members, warnings)

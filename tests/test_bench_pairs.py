@@ -83,3 +83,27 @@ def test_runs_that_do_not_overlap_resolve_a_wide_spread(summarize, shift, better
 def test_bad_input_refused(summarize, parent, change, better):
     with pytest.raises(ValueError):
         summarize(parent, change, better, 0.25)
+
+
+@pytest.fixture
+def failed_more(monkeypatch):
+    monkeypatch.syspath_prepend(str(TOOLS))
+    import bench_pairs
+
+    return bench_pairs.failed_more
+
+
+@pytest.mark.parametrize(
+    "parent, change, more",
+    [
+        ((0, 500), (0, 480), False),
+        ((0, 500), (1, 480), True),
+        ((2, 500), (1, 250), False),  # the same share, 0.4%
+        ((2, 500), (1, 240), True),  # fewer failures, but from fewer attempts
+        ((5, 500), (4, 500), False),
+        ((0, 0), (0, 0), False),
+        ((0, 0), (1, 10), True),
+    ],
+)
+def test_failed_more_compares_shares_not_counts(failed_more, parent, change, more):
+    assert failed_more(parent, change) is more

@@ -345,12 +345,42 @@ class TestRank:
         assert exc.value.code == 2
         assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--seed", str(2**64), "--seed must fit in 64 unsigned bits"),
+            ("--seed", "-1", "--seed must be non-negative"),
+            ("--samples", "0", "--samples must be positive, got 0"),
+        ],
+        ids=["seed-2**64", "seed--1", "samples-0"],
+    )
+    def test_flags_checked_before_the_input_is_read(self, capsys, tmp_path, flag, value, message):
+        missing = tmp_path / "absent.csv"  # reading it would be an i/o error, exit 2
+        code, out, err = run(capsys, "rank", missing, flag, value)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
     def test_csv_format_carries_provenance_comment(self, capsys, two_group_file):
         code, out, _ = run(capsys, "rank", two_group_file, "--seed", "4", "--format", "csv")
         assert code == 0
         lines = out.splitlines()
         assert lines[0].startswith("# seed=4")
         assert lines[1].split(",") == ["rank", "group", "gini", "h_group", "relative_h_group", "alpha"]
+
+
+@pytest.mark.parametrize("command", ["validate", "lorenz", "rank", "metrics"])
+def test_id_with_line_break_is_refused(capsys, tmp_path, command):
+    # unrefused, lorenz printed "1 2 3" as a data point and rank split its comment
+    path = tmp_path / "broken.csv"
+    path.write_text(
+        'group_id,researcher_id,h_index,total_citations\n"g\n1 2 3",r1,3,10\n'
+        "g,r2,4,20\nh,r3,5,30\nh,r4,2,9\n",
+        encoding="utf-8",
+    )
+    code, out, err = run(capsys, command, path)
+    assert (code, out) == (1, "")
+    assert err.endswith(
+        ":\n  row 2: group_id or researcher_id contains a control character\n"
+    )
 
 
 class TestLorenzPsi:
@@ -708,6 +738,13 @@ class TestSynth:
         code, out, err = run(capsys, "synth", "--beta", "0.5", "--n", "3", "--round", "--group-id", "")
         assert (code, out) == (1, "")
         assert "group id must be non-empty" in err
+
+    @pytest.mark.parametrize("char", ["\n", "\x1b", "\u2028"], ids=["LF", "ESC", "LS"])
+    def test_group_id_with_control_character_is_refused(self, capsys, char):
+        code, out, err = run(
+            capsys, "synth", "--beta", "0.5", "--n", "3", "--round", "--group-id", f"g{char}1"
+        )
+        assert (code, out, err) == (1, "", "error: --group-id must not contain a control character\n")
 
     def test_bad_beta_is_domain_error(self, capsys):
         code, _, err = run(capsys, "synth", "--beta", "0", "--n", "10")

@@ -8,6 +8,7 @@ import pytest
 
 from alphaindex.ingest import (
     LONG_FORM_HEADER,
+    SUMMARY_FORM_HEADER,
     read_dataset,
     read_dataset_file,
     read_long_form,
@@ -257,6 +258,146 @@ class TestSummaryForm:
             "g\tr\t4\t30\n"
         ))
         assert report.ok
+
+
+    def test_group_rows_merge_across_runs(self):
+        report = read_summary_form(rows(
+            "group_id,researcher_id,h_index,total_citations\n"
+            "A,r1,3,10\n"
+            "A,r2,4,20\n"
+            "B,r1,5,30\n"
+            "A,r3,6,40\n"
+            "A,r2,7,50\n"
+            "B,r2,8,60\n"
+        ))
+        assert report.errors == ("row 6: duplicate researcher 'r2' in group 'A'",)
+        read = read_summary_form(rows(
+            "group_id,researcher_id,h_index,total_citations\n"
+            "A,r1,3,10\nA,r2,4,20\nB,r1,5,30\nA,r3,6,40\nB,r2,8,60\n"
+        ))
+        assert read.ok, read.errors
+        assert [(g.id, [(m.id, m.h_index) for m in g.members]) for g in read.dataset.groups] == [
+            ("A", [("r1", 3), ("r2", 4), ("r3", 6)]),
+            ("B", [("r1", 5), ("r2", 8)]),
+        ]
+
+
+# C0 and C1 controls, DEL and the line and paragraph separators are refused;
+# NBSP and ZWNJ, which str.isprintable also refuses, are legal
+CONTROL_CHARS = ["\x00", "\t", "\n", "\r", "\x1b", "\x7f", "\x85", "\x9f", "\u2028", "\u2029"]
+CONTROL_ERROR = "group_id or researcher_id contains a control character"
+
+
+def quoted(*cells: str) -> str:
+    return ",".join('"' + c + '"' for c in cells) + "\n"
+
+
+class TestControlCharacters:
+    @pytest.mark.parametrize("char", CONTROL_CHARS, ids=ascii)
+    def test_summary_form(self, char):
+        report = read_summary_form(rows(
+            quoted(*SUMMARY_FORM_HEADER)
+            + quoted("g", "r\u00a01", "3", "10")
+            + quoted(f"g{char}x", "r2", "4", "20")
+            + quoted("g", f"r{char}3", "x", "20")
+            + quoted("g\u200c", "r4", "5", "")
+        ))
+        assert report.errors == (f"row 3: {CONTROL_ERROR}", f"row 4: {CONTROL_ERROR}")
+        assert report.warnings == ("row 5: 'r4' has no total_citations; "
+                                   "citation-distribution analyses will exclude this member",)
+
+    @pytest.mark.parametrize("char", CONTROL_CHARS, ids=ascii)
+    def test_long_form(self, char):
+        report = read_long_form(rows(
+            quoted(*LONG_FORM_HEADER)
+            + quoted("g", "A\u00a0a", "p1", "5")
+            + quoted("g", f"B{char}x", "p1", "3")
+            + quoted("g", f"B{char}x", "p2", "3")  # a refused row starts no run
+            + quoted("g", "A\u00a0a", "p2", "1")
+            + quoted(f"g{char}x", "A\u00a0a", "p3", "1")
+        ))
+        assert report.errors == tuple(f"row {n}: {CONTROL_ERROR}" for n in (3, 4, 6))
+        clean = read_long_form(rows(
+            quoted(*LONG_FORM_HEADER) + quoted("g\u200c", "A\u00a0a", "p1", "5")
+        ))
+        assert clean.ok and clean.dataset.groups[0].members[0].id == "A\u00a0a"
+
+    @pytest.mark.parametrize("char", CONTROL_CHARS, ids=ascii)
+    @pytest.mark.parametrize("where", ["groups[0]", "groups[0].members[0]"])
+    def test_json_document(self, char, where):
+        doc = {"groups": [{"id": "g\u00a0", "members": [{"id": "r\u200c", "h_index": 1}]}]}
+        assert read_dataset(doc).ok
+        entry = doc["groups"][0] if where == "groups[0]" else doc["groups"][0]["members"][0]
+        entry["id"] = f"a{char}b"
+        assert read_dataset(doc).errors == (f"{where}: missing or invalid 'id'",)
+
+
+def _random_summary_form(rng) -> bytes:
+    """A small summary-form file; most carry row errors, some are clean."""
+    clean = rng.random() < 0.35
+    delimiter = "\t" if rng.random() < 0.3 else ","
+    header = list(SUMMARY_FORM_HEADER)
+    if rng.random() < 0.3:
+        rng.shuffle(header)
+    bad_counts = ["x", "+3", "1_0", "\u0663", "\u00b2", "-2", "-0", "1.5", str(10**50 + 1)]
+    lines = [delimiter.join(header)]
+    gid = "g0"
+    next_member: dict[str, int] = {}
+    for _ in range(int(rng.integers(0, 30))):
+        if rng.random() < 0.3:  # else the run of the previous group goes on
+            gid = f"g{rng.integers(3)}"
+        if clean:
+            member = next_member.get(gid, 0)
+            next_member[gid] = member + 1
+        else:  # few researcher ids, so repeats come both adjacent and apart
+            member = int(rng.integers(6))
+        h = int(rng.integers(0, 40))
+        cells = {
+            "group_id": gid,
+            "researcher_id": f"r{member}",
+            "h_index": str(h),
+            "total_citations": str(h + int(rng.integers(0, 400))),
+        }
+        if rng.random() < 0.15:  # kept with a warning
+            cells["total_citations"] = " " * int(rng.integers(2))
+        if rng.random() < 0.2:  # padding that stripping removes
+            key = header[int(rng.integers(4))]
+            cells[key] = f" {cells[key]} "
+        if not clean:
+            roll = rng.random()
+            if roll < 0.06:
+                cells[("group_id", "researcher_id")[rng.integers(2)]] = " " * int(rng.integers(2))
+            elif roll < 0.18:
+                key = ("h_index", "total_citations")[rng.integers(2)]
+                cells[key] = bad_counts[int(rng.integers(len(bad_counts)))]
+            elif roll < 0.24:
+                cells["total_citations"] = str(max(h - 1, 0)) if h else "0"
+                cells["h_index"] = str(h or 1)
+        row = [cells[c] for c in header]
+        if not clean and rng.random() < 0.05:
+            row = [[], row[:3], row + ["extra"]][int(rng.integers(3))]
+        lines.append(delimiter.join(row))
+    text = "\n".join(lines) + ("\n" if rng.random() < 0.8 else "")
+    bom = b"\xef\xbb\xbf" if rng.random() < 0.2 else b""
+    return bom + text.encode("utf-8")
+
+
+def test_summary_form_matches_reference_loop(tmp_path, rng):
+    reports = []
+    for i in range(300):
+        path = tmp_path / f"{i}.csv"
+        path.write_bytes(_random_summary_form(rng))
+        report = read_summary_form(path)
+        assert report == ingest_reference.read_summary_form(path), path.read_bytes()
+        reports.append(report)
+    # the comparison covers datasets, warnings and every row error
+    errors = [e for r in reports for e in r.errors]
+    assert sum(r.ok for r in reports) > 60
+    assert any(r.warnings for r in reports if r.ok)
+    for kind in ("duplicate researcher", "blank", "fields, got 0", "fields, got 3",
+                 "fields, got 5", "not an integer", "negative", "exceeds the ceiling",
+                 "exceeds total_citations", "no data rows"):
+        assert any(kind in e for e in errors), kind
 
 
 class TestJsonDocuments:

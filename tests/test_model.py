@@ -1,5 +1,8 @@
 """Domain model construction rules and dataset validation."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -84,6 +87,44 @@ class TestConstruction:
         assert g.label == "g"
         g2 = Group(id="g", members=(make_member(),), label="Display")
         assert g2.label == "Display"
+
+
+class TestRecord:
+    """A profile is a named tuple that no route builds without the checks."""
+
+    def test_replace_runs_the_checks(self):
+        with pytest.raises(ValueError, match="h_index must be non-negative"):
+            make_member()._replace(h_index=-1)
+        assert make_member()._replace(h_index=1) == make_member(h=1)
+
+    def test_make_runs_the_checks(self):
+        with pytest.raises(TypeError, match="^r: h_index must be an integer, got 2.5$"):
+            ResearcherProfile._make(["r", 2.5, None, None])
+        assert ResearcherProfile._make(["r", 2, None, None]) == ResearcherProfile(id="r", h_index=2)
+
+    def test_fields_cannot_be_assigned(self):
+        m = make_member()
+        with pytest.raises(AttributeError):
+            m.h_index = 5
+        with pytest.raises(AttributeError):
+            m.extra = 1
+        assert m.h_index == 2
+
+    def test_pickle_and_copy_round_trip(self):
+        m = make_member()
+        for twin in (pickle.loads(pickle.dumps(m)), copy.copy(m), copy.deepcopy(m)):
+            assert type(twin) is ResearcherProfile and twin == m
+
+    def test_equal_profiles_hash_equal(self):
+        a, b = make_member(papers=[10, 3]), make_member(papers=(10, 3))
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b, make_member(rid="r2")}) == 2
+
+    def test_a_tuple_of_its_fields(self):
+        m = make_member()
+        assert m == ("r1", 2, 13, (10, 3))
+        rid, h, total, papers = m
+        assert m._asdict() == dict(zip(ResearcherProfile._fields, (rid, h, total, papers)))
 
 
 class TestValidate:

@@ -21,7 +21,10 @@ interquartile range.  ``bound_verdict`` is ``"unresolved"`` when the
 parent's interquartile range is wider than the metric's bound (relative to
 the parent's median) and the two sides' runs overlap; otherwise it is
 ``"within"`` when the change's median is worse than the parent's by no more
-than the bound, and ``"beyond"`` when it is worse by more.
+than the bound, and ``"beyond"`` when it is worse by more.  Per workload,
+``change_failed_more`` is true when the change failed a larger share of the
+operations it attempted than the parent did; the tool then says so on
+stderr.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ import statistics
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
 from importlib import metadata
 from pathlib import Path
 
@@ -71,6 +75,16 @@ def summarize(parent: list[float], change: list[float], better: str, bound: floa
         "bound_verdict": verdict,
         "runs": {"parent": list(parent), "change": list(change)},
     }
+
+
+def failed_more(parent: tuple[int, int], change: tuple[int, int]) -> bool:
+    """Whether ``change`` failed a larger share of its operations than ``parent``.
+
+    Each side is ``(failed, attempted)`` over all its runs; a side that
+    attempted nothing counts as failing none.
+    """
+    (p_failed, p_attempted), (c_failed, c_attempted) = parent, change
+    return Fraction(c_failed, c_attempted or 1) > Fraction(p_failed, p_attempted or 1)
 
 
 def _git(*args: str) -> str:
@@ -160,14 +174,21 @@ def main(argv=None) -> int:
                 for side, tree in order if i % 2 == 0 else order[::-1]:
                     runs[side].append(_run(tree, workload, seed, seconds))
                     print(f"{workload} pair {i + 1}/{PAIRS} {side} done", file=sys.stderr)
+            ops = {
+                side: (sum(r["failed"] for r in rs), sum(r["attempted"] for r in rs))
+                for side, rs in runs.items()
+            }
+            shares = {side: f"{f}/{a}" for side, (f, a) in ops.items()}
+            more = failed_more(ops["parent"], ops["change"])
+            if more:
+                print(f"{workload}: the change failed {shares['change']} ops, "
+                      f"a larger share than the parent's {shares['parent']}", file=sys.stderr)
             record["workloads"][workload] = {
                 "pairs": PAIRS,
                 "seeds": seeds,
                 "seconds_per_run": seconds,
-                "ops_failed_of_attempted": {
-                    side: f"{sum(r['failed'] for r in rs)}/{sum(r['attempted'] for r in rs)}"
-                    for side, rs in runs.items()
-                },
+                "ops_failed_of_attempted": shares,
+                "change_failed_more": more,
                 "end_to_end": {m["name"]: _metric(m, runs) for m in bench["end_to_end"]},
             }
     out = ROOT / f"BENCH_{args.number}.json"
