@@ -5,9 +5,12 @@ both ways: *long form* with one row per paper (h-indexes are then computed
 here) and *summary form* with one row per researcher.  A JSON document
 format round-trips datasets losslessly.  Parsers never raise on bad content;
 every problem is collected into the returned :class:`IngestReport` with its
-row number or document path.  A count above :data:`model.MAX_COUNT` is such a
-problem, and so are a file that is not UTF-8 text and an id that holds a
-control character, which would break the line it is printed on.
+row or document path.  A tabular row is named by the file line on which the
+csv reader finished its record (the header is line 1), so a record whose
+quoted field spans lines is named by its last line.  A count above
+:data:`model.MAX_COUNT` is such a problem, and so are a file that is not
+UTF-8 text, an id that is blank, and an id that holds a control character,
+which would break the line it is printed on.
 """
 
 from __future__ import annotations
@@ -40,21 +43,17 @@ class IngestReport:
         return self.dataset is not None
 
 
-def _read_header(source, expected, errors: list[str]):
-    """Rows of ``source`` past its header, and the index of each ``expected`` column.
+class _RowError(ValueError):
+    """A refused row; the row loop that catches it puts the row's line in front."""
+
+
+def _read_header(lines, first: str, expected, errors: list[str]):
+    """A csv reader over ``lines``, the rows past the header line ``first``,
+    and the index of each ``expected`` column, or None after recording why not.
 
     The header line decides the delimiter: a tab when it holds a tab and no
     comma, a comma otherwise.
     """
-    lines = iter(source)
-    try:
-        first = next(lines, None)
-    except UnicodeDecodeError as exc:
-        errors.append(_not_utf8(exc))
-        return lines, None
-    if first is None:
-        errors.append("no rows")
-        return lines, None
     delimiter = "\t" if "\t" in first and "," not in first else ","
     rows = csv.reader(lines, delimiter=delimiter)
     try:
@@ -108,6 +107,50 @@ def _report(errors: list[str], groups: dict[str, list], warnings: tuple | list =
     return IngestReport(dataset, warnings=tuple(warnings))
 
 
+def _read_table(source, form) -> IngestReport:
+    """The one tabular reader: open, check the header, run ``form``'s row loop, report.
+
+    ``source`` is a path or an open file (or any iterable of lines).
+    ``form`` is :data:`_LONG_FORM` or :data:`_SUMMARY_FORM`, or None to
+    pick one by the header line: long form when it names ``paper_id``,
+    summary form when it names ``h_index``.  The header is file line 1 and
+    is read once.  A row loop names a record by the file line it ends on,
+    ``rows.line_num + 1``, and reads that only where it records a problem.
+    """
+    if isinstance(source, (str, Path)):
+        with open(source, encoding="utf-8-sig", newline="") as fh:
+            return _read_table(fh, form)
+    errors: list[str] = []
+    warnings: list[str] = []
+    groups: dict[str, list[ResearcherProfile]] = {}
+    lines = iter(source)
+    try:
+        first = next(lines, "")
+        if form is None:  # the header line names the form
+            form = (
+                _LONG_FORM if "paper_id" in first else _SUMMARY_FORM if "h_index" in first else None
+            )
+        if form is None:
+            errors.append(
+                "unrecognized header; expected "
+                f"{','.join(LONG_FORM_HEADER)} or {','.join(SUMMARY_FORM_HEADER)}"
+            )
+        elif not first:
+            errors.append("no rows")
+        else:
+            expected, row_loop = form
+            rows, columns = _read_header(lines, first, expected, errors)
+            if columns is not None:
+                groups = row_loop(rows, operator.itemgetter(*columns), errors, warnings)
+                if not rows.line_num and not errors:
+                    errors.append("no data rows")
+    except csv.Error as exc:  # e.g. a field past csv.field_size_limit()
+        errors.append(f"row {rows.line_num + 1}: {exc}")
+    except UnicodeDecodeError as exc:
+        errors.append(_not_utf8(exc))
+    return _report(errors, groups, warnings)
+
+
 def read_long_form(source) -> IngestReport:
     """Parse per-paper rows ``group_id,researcher_id,paper_id,citations``.
 
@@ -118,63 +161,47 @@ def read_long_form(source) -> IngestReport:
     consecutive rows naming it, so a file that lists each member's papers
     together costs one lookup per member; a member whose rows resume later
     still merges into its first entry.  A paper id repeated within one
-    member is an error, wherever in the file the repeat appears.
+    member is an error, wherever in the file the repeat appears.  A problem
+    is named by the file line its row ends on.
     """
-    if isinstance(source, (str, Path)):
-        with open(source, encoding="utf-8-sig", newline="") as fh:
-            return read_long_form(fh)
-    errors: list[str] = []
+    return _read_table(source, _LONG_FORM)
+
+
+def _long_form_rows(rows, fields, errors: list[str], warnings: list[str]) -> dict:
+    """The groups of :func:`read_long_form`, or none once a row is refused."""
     # per member, its papers' citations keyed by paper id, in file order
     papers: dict[tuple[str, str], dict[str, int]] = {}
-    groups: dict[str, list[ResearcherProfile]] = {}
-
-    rows, columns = _read_header(source, LONG_FORM_HEADER, errors)
-    if columns is None:
-        return _report(errors, groups)
-
-    fields = operator.itemgetter(*columns)
     width = len(LONG_FORM_HEADER)
     run_gid = run_rid = None  # the member of the previous valid row
     member: dict[str, int] = {}
-    lineno = 1
-    try:
-        for lineno, row in enumerate(rows, start=2):
+    for row in rows:
+        try:
             if len(row) != width:
-                errors.append(f"row {lineno}: expected {width} fields, got {len(row)}")
-                continue
+                raise _RowError(f"expected {width} fields, got {len(row)}")
             gid, rid, pid, raw = fields(row)
             gid = gid.strip()
             rid = rid.strip()
             pid = pid.strip()
             if not gid or not rid or not pid:
-                errors.append(f"row {lineno}: blank group_id, researcher_id, or paper_id")
-                continue
-            cites = _parse_count(raw.strip(), "citations", lineno, errors)
-            if cites is None:
-                continue
+                raise _RowError("blank group_id, researcher_id, or paper_id")
+            cites = _parse_count(raw.strip(), "citations")
             if rid != run_rid or gid != run_gid:
                 if not (gid.isprintable() and rid.isprintable()) and _has_control(gid, rid):
-                    errors.append(f"row {lineno}: {_CONTROL_ID}")
-                    continue
+                    raise _RowError(_CONTROL_ID)
                 run_gid, run_rid = gid, rid
                 member = papers.get((gid, rid))
                 if member is None:
                     member = papers[gid, rid] = {}
             if pid in member:
-                errors.append(f"row {lineno}: duplicate paper {pid!r} for {rid!r} in {gid!r}")
-                continue
-            member[pid] = cites
-    except csv.Error as exc:  # e.g. a field past csv.field_size_limit()
-        lineno += 1
-        errors.append(f"row {lineno}: {exc}")
-    except UnicodeDecodeError as exc:
-        errors.append(_not_utf8(exc))
+                raise _RowError(f"duplicate paper {pid!r} for {rid!r} in {gid!r}")
+        except _RowError as exc:
+            errors.append(f"row {rows.line_num + 1}: {exc}")
+            continue
+        member[pid] = cites
 
-    if lineno == 1 and not errors:
-        errors.append("no data rows")
+    groups: dict[str, list[ResearcherProfile]] = {}
     if errors:
-        return _report(errors, groups)
-
+        return groups
     for (gid, rid), member in papers.items():
         cites = list(member.values())
         total = sum(cites)
@@ -189,11 +216,11 @@ def read_long_form(source) -> IngestReport:
                 paper_citations=tuple(cites),
             )
         )
-    return _report(errors, groups)
+    return groups
 
 
-def _parse_count(raw: str, column: str, lineno: int, errors: list[str]) -> int | None:
-    """``raw`` as a count in ``[0, MAX_COUNT]``; None after recording why not.
+def _parse_count(raw: str, column: str) -> int:
+    """``raw`` as a count in ``[0, MAX_COUNT]``, else :class:`_RowError` saying why not.
 
     A count is ASCII digits only: ``int()`` would also take ``+3``, ``1_0``
     and non-ASCII decimal digits.  A leading ``-`` is named as a negative.
@@ -205,8 +232,7 @@ def _parse_count(raw: str, column: str, lineno: int, errors: list[str]) -> int |
             value = MAX_COUNT + 1
         if value <= MAX_COUNT:
             return value
-        errors.append(f"row {lineno}: {column} exceeds the ceiling 10**50")
-        return None
+        raise _RowError(f"{column} exceeds the ceiling 10**50")
     digits = raw[1:]
     if raw[:1] == "-" and digits.isascii() and digits.isdigit():
         try:
@@ -216,10 +242,8 @@ def _parse_count(raw: str, column: str, lineno: int, errors: list[str]) -> int |
         else:
             if not value:  # "-0"
                 return 0
-            errors.append(f"row {lineno}: negative {column} {value}")
-            return None
-    errors.append(f"row {lineno}: {column} {raw!r} is not an integer")
-    return None
+            raise _RowError(f"negative {column} {value}")
+    raise _RowError(f"{column} {raw!r} is not an integer")
 
 
 def read_summary_form(source) -> IngestReport:
@@ -233,57 +257,40 @@ def read_summary_form(source) -> IngestReport:
     that lists each group's members together costs one lookup per group; a
     group whose rows resume later still merges into its first entry.  A
     researcher repeated within one group is an error, wherever in the file
-    the repeat appears.
+    the repeat appears.  A problem is named by the file line its row ends on.
     """
-    if isinstance(source, (str, Path)):
-        with open(source, encoding="utf-8-sig", newline="") as fh:
-            return read_summary_form(fh)
-    errors: list[str] = []
-    warnings: list[str] = []
+    return _read_table(source, _SUMMARY_FORM)
+
+
+def _summary_form_rows(rows, fields, errors: list[str], warnings: list[str]) -> dict:
+    """The groups of :func:`read_summary_form`; ``errors`` says whether they count."""
     groups: dict[str, list[ResearcherProfile]] = {}
     member_ids: dict[str, set[str]] = {}  # per group, the ids in its list
-
-    rows, columns = _read_header(source, SUMMARY_FORM_HEADER, errors)
-    if columns is None:
-        return _report(errors, groups, warnings)
-
-    fields = operator.itemgetter(*columns)
     width = len(SUMMARY_FORM_HEADER)
     run_gid = None  # the group of the previous valid row
     members: list[ResearcherProfile] = []
     ids: set[str] = set()
-    lineno = 1
-    try:
-        for lineno, row in enumerate(rows, start=2):
+    for row in rows:
+        try:
             if len(row) != width:
-                errors.append(f"row {lineno}: expected {width} fields, got {len(row)}")
-                continue
+                raise _RowError(f"expected {width} fields, got {len(row)}")
             gid, rid, h_raw, total_raw = fields(row)
             gid = gid.strip()
             rid = rid.strip()
             if not gid or not rid:
-                errors.append(f"row {lineno}: blank group_id or researcher_id")
-                continue
+                raise _RowError("blank group_id or researcher_id")
             if not (gid.isprintable() and rid.isprintable()) and _has_control(gid, rid):
-                errors.append(f"row {lineno}: {_CONTROL_ID}")
-                continue
-            h = _parse_count(h_raw.strip(), "h_index", lineno, errors)
-            if h is None:
-                continue
+                raise _RowError(_CONTROL_ID)
+            h = _parse_count(h_raw.strip(), "h_index")
             total_raw = total_raw.strip()
             total: int | None = None
             if total_raw:
-                total = _parse_count(total_raw, "total_citations", lineno, errors)
-                if total is None:
-                    continue
+                total = _parse_count(total_raw, "total_citations")
                 if h > total:
-                    errors.append(
-                        f"row {lineno}: h_index {h} exceeds total_citations {total}"
-                    )
-                    continue
+                    raise _RowError(f"h_index {h} exceeds total_citations {total}")
             else:
                 warnings.append(
-                    f"row {lineno}: {rid!r} has no total_citations; "
+                    f"row {rows.line_num + 1}: {rid!r} has no total_citations; "
                     "citation-distribution analyses will exclude this member"
                 )
             if gid != run_gid:
@@ -293,19 +300,17 @@ def read_summary_form(source) -> IngestReport:
                     member_ids[gid] = set()
                 members, ids = groups[gid], member_ids[gid]
             if rid in ids:
-                errors.append(f"row {lineno}: duplicate researcher {rid!r} in group {gid!r}")
-                continue
-            ids.add(rid)
-            members.append(ResearcherProfile(rid, h, total))
-    except csv.Error as exc:  # e.g. a field past csv.field_size_limit()
-        lineno += 1
-        errors.append(f"row {lineno}: {exc}")
-    except UnicodeDecodeError as exc:
-        errors.append(_not_utf8(exc))
+                raise _RowError(f"duplicate researcher {rid!r} in group {gid!r}")
+        except _RowError as exc:
+            errors.append(f"row {rows.line_num + 1}: {exc}")
+            continue
+        ids.add(rid)
+        members.append(ResearcherProfile(rid, h, total))
+    return groups
 
-    if lineno == 1 and not errors:
-        errors.append("no data rows")
-    return _report(errors, groups, warnings)
+
+_LONG_FORM = (LONG_FORM_HEADER, _long_form_rows)
+_SUMMARY_FORM = (SUMMARY_FORM_HEADER, _summary_form_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -409,21 +414,24 @@ def _parse_member(raw, path: str, errors: list[str]) -> ResearcherProfile | None
 
 
 def _is_entry(raw, keys: set[str], path: str, errors: list[str]) -> bool:
-    """Whether ``raw`` is an object of known ``keys`` with a non-empty, printable id."""
+    """Whether ``raw`` is an object of known ``keys`` with a printable id that is not blank."""
     if not isinstance(raw, dict):
         errors.append(f"{path}: expected an object")
     elif set(raw) - keys:
         errors.append(f"{path}: unknown key(s) {sorted(set(raw) - keys)}")
-    elif not isinstance(raw.get("id"), str) or not raw["id"] or not _is_printable(raw["id"]):
+    elif not isinstance(raw.get("id"), str) or not _is_id(raw["id"]):
         errors.append(f"{path}: missing or invalid 'id'")
     else:
         return True
     return False
 
 
-def _is_printable(text: str) -> bool:
-    """False for a lone surrogate, which a JSON escape can spell and no output can
-    encode, and for a control character (see :func:`_has_control`)."""
+def _is_id(text: str) -> bool:
+    """False for a blank id, which the tabular readers also refuse, for a lone
+    surrogate, which a JSON escape can spell and no output can encode, and for
+    a control character (see :func:`_has_control`)."""
+    if not text.strip():
+        return False
     try:
         text.encode("utf-8")
     except UnicodeEncodeError:
@@ -454,21 +462,4 @@ def read_dataset_file(path: str | os.PathLike) -> IngestReport:
         except (ValueError, RecursionError) as exc:  # also too many digits or too deep
             return IngestReport(None, errors=(f"invalid JSON: {exc}",))
         return read_dataset(document)
-
-    with open(path, encoding="utf-8-sig", newline="") as fh:
-        try:
-            header_line = fh.readline()
-        except UnicodeDecodeError as exc:
-            return IngestReport(None, errors=(_not_utf8(exc),))
-        fh.seek(0)
-        if "paper_id" in header_line:
-            return read_long_form(fh)
-        if "h_index" in header_line:
-            return read_summary_form(fh)
-        return IngestReport(
-            None,
-            errors=(
-                "unrecognized header; expected "
-                f"{','.join(LONG_FORM_HEADER)} or {','.join(SUMMARY_FORM_HEADER)}",
-            ),
-        )
+    return _read_table(path, None)

@@ -80,15 +80,13 @@ def sample_stretched_exp(
     return x
 
 
-def synth_group(
-    group_id: str,
-    member_hs: Sequence[int],
-    label: str | None = None,
-    quality_tag: str | None = None,
-) -> Group:
-    """Group whose members carry the given h-indexes and no per-paper data."""
+def synth_group(group_id: str, member_hs: Sequence[int]) -> Group:
+    """Group whose members carry the given h-indexes and no per-paper data.
+
+    The group has no label and no quality tag.
+    """
     members = tuple(
         ResearcherProfile(id=f"{group_id}-m{i:03d}", h_index=h)
         for i, h in enumerate(member_hs, start=1)
     )
-    return Group(id=group_id, members=members, label=label, quality_tag=quality_tag)
+    return Group(group_id, members)

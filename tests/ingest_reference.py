@@ -27,7 +27,8 @@ def read_long_form(source) -> ingest.IngestReport:
     seen_papers: set[tuple[str, str, str]] = set()
     groups: dict[str, list[ResearcherProfile]] = {}
 
-    rows, columns = ingest._read_header(source, ingest.LONG_FORM_HEADER, errors)
+    lines = iter(source)
+    rows, columns = ingest._read_header(lines, next(lines, ""), ingest.LONG_FORM_HEADER, errors)
     if columns is None:
         return ingest._report(errors, groups)
 
@@ -47,8 +48,10 @@ def read_long_form(source) -> ingest.IngestReport:
             if not gid or not rid or not pid:
                 errors.append(f"row {lineno}: blank group_id, researcher_id, or paper_id")
                 continue
-            cites = ingest._parse_count(raw, "citations", lineno, errors)
-            if cites is None:
+            try:
+                cites = ingest._parse_count(raw, "citations")
+            except ValueError as exc:
+                errors.append(f"row {lineno}: {exc}")
                 continue
             if (gid, rid, pid) in seen_papers:
                 errors.append(f"row {lineno}: duplicate paper {pid!r} for {rid!r} in {gid!r}")
@@ -90,7 +93,8 @@ def read_summary_form(source) -> ingest.IngestReport:
     members: dict[str, list[ResearcherProfile]] = {}
     seen: set[tuple[str, str]] = set()
 
-    rows, columns = ingest._read_header(source, ingest.SUMMARY_FORM_HEADER, errors)
+    lines = iter(source)
+    rows, columns = ingest._read_header(lines, next(lines, ""), ingest.SUMMARY_FORM_HEADER, errors)
     if columns is None:
         return ingest._report(errors, members, warnings)
 
@@ -110,13 +114,17 @@ def read_summary_form(source) -> ingest.IngestReport:
             if not gid or not rid:
                 errors.append(f"row {lineno}: blank group_id or researcher_id")
                 continue
-            h = ingest._parse_count(h_raw, "h_index", lineno, errors)
-            if h is None:
+            try:
+                h = ingest._parse_count(h_raw, "h_index")
+            except ValueError as exc:
+                errors.append(f"row {lineno}: {exc}")
                 continue
             total = None
             if total_raw:
-                total = ingest._parse_count(total_raw, "total_citations", lineno, errors)
-                if total is None:
+                try:
+                    total = ingest._parse_count(total_raw, "total_citations")
+                except ValueError as exc:
+                    errors.append(f"row {lineno}: {exc}")
                     continue
                 if h > total:
                     errors.append(f"row {lineno}: h_index {h} exceeds total_citations {total}")

@@ -378,8 +378,24 @@ def test_id_with_line_break_is_refused(capsys, tmp_path, command):
     )
     code, out, err = run(capsys, command, path)
     assert (code, out) == (1, "")
+    # the quoted id spans file lines 2-3; a row is named by the line it ends on
     assert err.endswith(
-        ":\n  row 2: group_id or researcher_id contains a control character\n"
+        ":\n  row 3: group_id or researcher_id contains a control character\n"
+    )
+
+
+def test_rows_after_a_quoted_line_break_named_by_file_line(capsys, tmp_path):
+    path = tmp_path / "multiline.csv"
+    path.write_text(
+        'group_id,researcher_id,h_index,total_citations\ng1,r1,3,"1\n0"\ng1,r2,x,5\n',
+        encoding="utf-8",
+    )
+    code, out, err = run(capsys, "validate", path)
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: invalid dataset:\n"
+        "  row 3: total_citations '1\\n0' is not an integer\n"
+        "  row 4: h_index 'x' is not an integer\n"
     )
 
 
@@ -574,6 +590,15 @@ class TestDistfit:
             )
             assert code == 1
             assert spec in err and reason in err
+
+    @pytest.mark.parametrize("spec", ["2:1:0.5", "1:2:0", "1:2:-0.5"])
+    def test_grid_with_bad_range_refused(self, capsys, summary_file, spec):
+        for flag in ("--beta-grid", "--k-grid"):
+            code, out, err = run(
+                capsys, "distfit", summary_file, "--analysis", "moments", f"{flag}={spec}", "--quiet"
+            )
+            assert (code, out) == (1, "")
+            assert err == f"error: grid {spec!r} has a bad range\n"
 
     def test_beta_grid_floor(self, capsys, summary_file):
         code, out, err = run(

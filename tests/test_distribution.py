@@ -229,6 +229,21 @@ class TestGiddingsEval:
         with pytest.raises(ValueError):
             giddings_eval(0.0, REFERENCE_PEAK)
 
+    @pytest.mark.parametrize(
+        "field, value, error",
+        [
+            ("amplitude", -1.0, "amplitude must be non-negative, got -1.0"),
+            ("width", 0.0, "width must be positive, got 0.0"),
+            ("center", -2.0, "center must be positive, got -2.0"),
+            ("residual_ss", -0.5, "residual_ss must be non-negative, got -0.5"),
+        ],
+    )
+    def test_field_refused(self, field, value, error):
+        fields = {"baseline": 0.0, "amplitude": 1.0, "width": 2.0, "center": 10.0, field: value}
+        with pytest.raises(ValueError) as exc:
+            GiddingsFit(**fields)
+        assert str(exc.value) == error
+
 
 def reference_histogram(noise_seed=None):
     edges = tuple(float(e) for e in range(1, 42))
@@ -388,6 +403,12 @@ class TestShapeStatistics:
         with pytest.raises(ZeroVarianceError):
             skewness([3.0, 3.0])
 
+    @pytest.mark.parametrize("statistic", [kurtosis, skewness], ids=lambda f: f.__name__)
+    def test_single_value_refused(self, statistic):
+        with pytest.raises(ValueError) as exc:
+            statistic([3.0])
+        assert str(exc.value) == f"{statistic.__name__} needs n >= 2, got 1"
+
     def test_invariances(self, rng):
         x = rng.standard_normal(60) * 3.0 + 1.0
         shifted = x + 17.0
@@ -399,6 +420,20 @@ class TestShapeStatistics:
 
 
 class TestBuildHistogram:
+    @pytest.mark.parametrize(
+        "edges, counts, error",
+        [
+            ((0.0, 1.0, 2.0), (1.0,), "need exactly one more edge than counts"),
+            ((0.0, 1.0), (1.0, 2.0), "need exactly one more edge than counts"),
+            ((0.0, 2.0, 1.0), (1.0, 1.0), "bin edges must be strictly increasing"),
+            ((0.0, 1.0, 1.0), (1.0, 1.0), "bin edges must be strictly increasing"),
+        ],
+    )
+    def test_histogram_shape_refused(self, edges, counts, error):
+        with pytest.raises(ValueError) as exc:
+            Histogram(bin_edges=edges, counts=counts)
+        assert str(exc.value) == error
+
     def test_linear_enumeration(self):
         hist = build_histogram([1, 1, 2, 3], 1.0)
         assert hist.bin_edges == (1.0, 2.0, 3.0, 4.0)

@@ -69,6 +69,18 @@ class TestLongForm:
         assert not report.ok
         assert any("unknown column" in e for e in report.errors)
 
+    @pytest.mark.parametrize(
+        "header, error",
+        [
+            ("group_id,researcher_id,paper_id", "row 1: missing column(s) ['citations']"),
+            ("group_id,researcher_id,paper_id,citations,citations",
+             "row 1: duplicated column(s) ['citations']"),
+        ],
+        ids=["missing", "duplicated"],
+    )
+    def test_header_refusals(self, header, error):
+        assert read_long_form(rows(header + "\ng,r,p1,1\n")).errors == (error,)
+
     def test_blank_ids_and_bad_integers(self):
         report = read_long_form(rows(
             "group_id,researcher_id,paper_id,citations\n"
@@ -302,8 +314,11 @@ class TestControlCharacters:
             + quoted("g", f"r{char}3", "x", "20")
             + quoted("g\u200c", "r4", "5", "")
         ))
-        assert report.errors == (f"row 3: {CONTROL_ERROR}", f"row 4: {CONTROL_ERROR}")
-        assert report.warnings == ("row 5: 'r4' has no total_citations; "
+        # a quoted "\n" ends its record a file line later; a "\r" does not,
+        # since io.StringIO splits lines at "\n" only
+        bad, warned = ((4, 6), 7) if char == "\n" else ((3, 4), 5)
+        assert report.errors == tuple(f"row {n}: {CONTROL_ERROR}" for n in bad)
+        assert report.warnings == (f"row {warned}: 'r4' has no total_citations; "
                                    "citation-distribution analyses will exclude this member",)
 
     @pytest.mark.parametrize("char", CONTROL_CHARS, ids=ascii)
@@ -316,7 +331,8 @@ class TestControlCharacters:
             + quoted("g", "A\u00a0a", "p2", "1")
             + quoted(f"g{char}x", "A\u00a0a", "p3", "1")
         ))
-        assert report.errors == tuple(f"row {n}: {CONTROL_ERROR}" for n in (3, 4, 6))
+        bad = (4, 6, 9) if char == "\n" else (3, 4, 6)  # file lines, as above
+        assert report.errors == tuple(f"row {n}: {CONTROL_ERROR}" for n in bad)
         clean = read_long_form(rows(
             quoted(*LONG_FORM_HEADER) + quoted("g\u200c", "A\u00a0a", "p1", "5")
         ))
@@ -443,6 +459,37 @@ class TestJsonDocuments:
         entry["id"] = "a\ud800"
         report = read_dataset(doc)
         assert report.errors == (f"{where}: missing or invalid 'id'",)
+
+    @pytest.mark.parametrize("blank", [" ", " \u3000 "], ids=ascii)
+    @pytest.mark.parametrize("where", ["groups[0]", "groups[0].members[0]"])
+    def test_blank_id_rejected_at_path(self, where, blank):
+        # the tabular readers refuse these ids as blank too
+        doc = {"groups": [{"id": "g", "members": [{"id": "r", "h_index": 1}]}]}
+        entry = doc["groups"][0] if where == "groups[0]" else doc["groups"][0]["members"][0]
+        entry["id"] = blank
+        assert read_dataset(doc).errors == (f"{where}: missing or invalid 'id'",)
+
+    def test_id_with_surrounding_whitespace_kept(self):
+        doc = {"groups": [{"id": " g ", "members": [{"id": " r", "h_index": 1}]}]}
+        group = read_dataset(doc).dataset.groups[0]
+        assert (group.id, group.members[0].id) == (" g ", " r")
+
+    @pytest.mark.parametrize(
+        "doc, error",
+        [
+            ([], "document: expected an object"),
+            ({"groups": [], "extra": 1, "more": 2}, "document: unknown key(s) ['extra', 'more']"),
+            ({"groups": {}}, "groups: expected a list"),
+            ({"groups": [{"id": "g", "members": []}]}, "groups[0].members: expected a non-empty list"),
+            ({"groups": [{"id": "g", "label": 3, "members": [{"id": "r", "h_index": 1}]}]},
+             "groups[0].label: expected a string"),
+            ({"groups": [{"id": "g", "members": [{"id": "r", "h_index": 1}, "r2"]}]},
+             "groups[0].members[1]: expected an object"),
+        ],
+        ids=["not-object", "unknown-keys", "groups-not-list", "no-members", "label", "member"],
+    )
+    def test_schema_refusals(self, doc, error):
+        assert read_dataset(doc).errors == (error,)
 
     def test_boolean_not_accepted_as_integer(self):
         doc = {"groups": [{"id": "g", "members": [{"id": "r", "h_index": True}]}]}
@@ -581,6 +628,110 @@ class TestMalformedInput:
         assert not report.ok
         assert len(report.errors) == 1 and report.errors[0].startswith("invalid JSON: ")
         assert "recursion" in report.errors[0]
+
+
+class TestRowLines:
+    """A row is named by the file line its record ends on; the header is line 1."""
+
+    SUMMARY = "group_id,researcher_id,h_index,total_citations"
+    LONG = "group_id,researcher_id,paper_id,citations"
+
+    @pytest.mark.parametrize("eol", ["\n", "\r\n"], ids=["lf", "crlf"])
+    @pytest.mark.parametrize("opened", [False, True], ids=["path", "string"])
+    def test_summary_form_after_a_quoted_line_break(self, tmp_path, eol, opened):
+        text = eol.join([
+            self.SUMMARY,
+            "g,r0,x,5",  # line 2
+            'g,r1,3,"1' + eol + '0"',  # lines 3-4
+            "g,r2,y,5",  # line 5
+            'g,r3,4,"6' + eol + '"',  # lines 6-7
+            "g,r3,1,",  # line 8
+        ]) + eol
+        source = _source(tmp_path, text, opened)
+        report = read_summary_form(source)
+        assert report.errors == (
+            "row 2: h_index 'x' is not an integer",
+            f"row 4: total_citations {'1' + eol + '0'!r} is not an integer",
+            "row 5: h_index 'y' is not an integer",
+            "row 8: duplicate researcher 'r3' in group 'g'",
+        )
+        # the total "6" + eol is stripped to 6, so the record on lines 6-7 is accepted
+        assert report.warnings == ("row 8: 'r3' has no total_citations; "
+                                   "citation-distribution analyses will exclude this member",)
+
+    @pytest.mark.parametrize("eol", ["\n", "\r\n"], ids=["lf", "crlf"])
+    @pytest.mark.parametrize("opened", [False, True], ids=["path", "string"])
+    def test_long_form_after_a_quoted_line_break(self, tmp_path, eol, opened):
+        text = eol.join([
+            self.LONG,
+            "g,r,p1,-1",  # line 2
+            'g,r,"p' + eol + '2",z',  # lines 3-4
+            "g,r,p3,q",  # line 5
+            'g,r,"p' + eol + eol + '4",1',  # lines 6-8
+            "g,r,p5",  # line 9
+        ]) + eol
+        report = read_long_form(_source(tmp_path, text, opened))
+        assert report.errors == (
+            "row 2: negative citations -1",
+            "row 4: citations 'z' is not an integer",
+            "row 5: citations 'q' is not an integer",
+            "row 9: expected 4 fields, got 3",
+        )
+
+    def test_clean_multiline_record_accepted(self):
+        report = read_long_form(rows(self.LONG + '\ng,r,"p\n1",3\ng,r,p2,4\n'))
+        assert report.dataset.groups[0].members[0].paper_citations == (3, 4)
+
+    @pytest.mark.parametrize(
+        "lines, row",
+        [
+            (['g,r,1,"2', '"', "g,r2,{big},5"], 4),  # after a record on lines 2-3
+            (['g,r,1,"2', '{big}"'], 3),  # the record's second line
+            (["g,r,1,2", "g,r2,{big},5", "g,r3,1,1"], 3),
+        ],
+        ids=["after", "inside", "single-line"],
+    )
+    def test_csv_error_names_the_line_the_reader_stopped_on(self, lines, row):
+        big = "1" * (csv.field_size_limit() + 1)
+        text = "\n".join([self.SUMMARY] + [line.format(big=big) for line in lines]) + "\n"
+        report = read_summary_form(rows(text))
+        assert report.errors == (f"row {row}: field larger than field limit "
+                                 f"({csv.field_size_limit()})",)
+
+    def test_unquoted_carriage_return_is_a_csv_error(self):
+        # io.StringIO does not split lines at a lone "\r"; the csv reader refuses it
+        report = read_summary_form(rows(self.SUMMARY + "\ng,r1,1,1\ng,r\r2,1,1\n"))
+        # the rest of the message differs between Python versions
+        (error,) = report.errors
+        assert error.startswith("row 3: new-line character seen in unquoted field - ")
+
+    @pytest.mark.parametrize("reader", [read_long_form, read_summary_form, read_dataset_file])
+    def test_header_only(self, tmp_path, reader):
+        header = self.LONG if reader is read_long_form else self.SUMMARY
+        path = tmp_path / "header.csv"
+        for text in (header, header + "\n"):
+            path.write_text(text, encoding="utf-8")
+            assert reader(path).errors == ("no data rows",)
+
+    def test_empty_file(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_bytes(b"")
+        assert read_long_form(path).errors == ("no rows",)
+        assert read_summary_form(path).errors == ("no rows",)
+        # no header names a form, so the file reader cannot pick a reader
+        assert read_dataset_file(path).errors == (
+            "unrecognized header; expected group_id,researcher_id,paper_id,citations "
+            "or group_id,researcher_id,h_index,total_citations",
+        )
+
+
+def _source(tmp_path, text: str, opened: bool):
+    """``text`` as a path to a file holding it, or as the string lines of an open file."""
+    if opened:
+        return io.StringIO(text, newline="")
+    path = tmp_path / "data.csv"
+    path.write_bytes(text.encode("utf-8"))
+    return path
 
 
 class TestFileDispatch:

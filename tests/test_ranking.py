@@ -63,6 +63,11 @@ class TestRelativeHGroup:
         with pytest.raises(ValueError, match=param):
             relative_h_group(synth_group("g", [4, 3, 2, 1]), 2, 100, **{param: value})
 
+    def test_sample_size_must_be_positive(self):
+        with pytest.raises(ValueError) as exc:
+            relative_h_group(synth_group("g", [4, 3, 2, 1]), 0, 100, 0)
+        assert str(exc.value) == "sample_size must be positive, got 0"
+
     def test_stream_key_is_not_settable(self):
         # the stream is keyed by the group id, never by the caller
         with pytest.raises(TypeError, match="key"):
@@ -156,6 +161,12 @@ class TestRank:
         with pytest.raises(ValueError, match=field):
             rank(groups, **{field: value})
 
+    def test_duplicate_ids_refused(self):
+        groups = [synth_group("a", [3, 3]), synth_group("b", [4, 4]), synth_group("a", [5, 1])]
+        with pytest.raises(ValueError) as exc:
+            rank(groups)
+        assert str(exc.value) == "group ids must be unique for ranking"
+
     def test_gini_floor_reported(self):
         groups = [synth_group("flat", [4, 4, 4]), synth_group("mixed", [9, 3, 1])]
         report = rank(groups, n_samples=200, seed=2)
@@ -222,6 +233,16 @@ class TestRankFromPrecomputed:
     def test_values_that_give_no_weight_refused_by_column(self, rows, column):
         with pytest.raises(ValueError, match=f"{column} values must be finite"):
             rank_from_precomputed(rows + [("ok", 5.0, 0.4)])
+
+    def test_duplicate_ids_refused(self):
+        with pytest.raises(ValueError) as exc:
+            rank_from_precomputed([("a", 4.0, 0.3), ("b", 5.0, 0.4), ("a", 6.0, 0.5)])
+        assert str(exc.value) == "group ids must be unique for ranking"
+
+    def test_no_rows_refused(self):
+        with pytest.raises(TooFewGroupsError) as exc:
+            rank_from_precomputed([])
+        assert str(exc.value) == "no rows to rank"
 
     def test_all_zero_scores_refused(self):
         with pytest.raises(ValueError, match="all scores are zero"):
