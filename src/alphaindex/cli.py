@@ -170,6 +170,8 @@ def _cmd_rank(args) -> Result:
 
     if args.samples < 1:
         raise CliError(f"--samples must be positive, got {args.samples}")
+    if args.samples > _MAX_SAMPLES:
+        raise CliError(f"--samples must be at most {_MAX_SAMPLES}, got {args.samples}")
     if args.seed < 0:
         raise CliError("--seed must be non-negative")
     if args.seed >= 2**64:
@@ -423,8 +425,10 @@ def _distfit_moments(args, dataset) -> Result:
 
 
 # Largest sample synth draws, checked before any draw is allocated (the same
-# guard as the grid point limit above).
+# guard as the grid point limit above), and most subsets rank draws per group
+# (10**6 take 3-4 s for six committees).
 _MAX_SYNTH_N = 1_000_000
+_MAX_SAMPLES = 1_000_000
 
 
 def _cmd_synth(args) -> Result:

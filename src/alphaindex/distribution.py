@@ -4,9 +4,10 @@ Covers the statistical toolbox used around group ranking: the log-log
 citations-vs-h slope, stretched-exponential shape estimation (profile
 likelihood over a beta grid), sample and theoretical moment ratios
 (computed in log space), a Giddings peak-shape fit for h-index histograms
-(baseline and amplitude in closed form; width and center by one grid over a
-box bounded by the data, then one simplex run, with a peak on the box's edge
-refused by name; the Bessel function I1 from ``scipy.special``),
+(baseline and amplitude in closed form; width and center by one grid on at
+most 64 merged bins over a box bounded by the data, then one simplex run on
+every bin, with a peak on the box's edge refused by name; the Bessel
+function I1 from ``scipy.special``),
 excess kurtosis and skewness, a Shapiro-Wilk normality test in Royston's
 extended form (3 <= n <= 5000), and histogram construction with bins of
 one fixed width.
@@ -396,7 +397,7 @@ def _project(g: np.ndarray, counts: np.ndarray):
 
 
 _GRID = 48  # grid points per searched coordinate
-_GRID_CELLS = 1 << 20  # largest (grid points, bins) block evaluated at once
+_GRID_BINS = 64  # most bins the grid is evaluated on
 _ON_BOUND = 1e-6  # distance to a box bound, relative to the box's extent
 
 
@@ -415,15 +416,16 @@ def fit_giddings(hist: Histogram) -> GiddingsFit:
     ln(4 * (last edge - first edge))] and center in [first edge, last edge],
     center > 0.  Bins below h = 0 are refused.
     The projected residual is evaluated on a 48 x 48 grid over that box in
-    one array expression, and one Nelder-Mead simplex in (ln width, center)
-    refines the best grid point, with the residual set to 1e300 outside the
-    box.  ``FitDivergedError`` is raised when the simplex does not collapse
-    below 1e-9 within 1000 evaluations, and when a fit with a positive
-    amplitude ends on a bound of the box (within 1e-6 of its extent), which
-    the error names: the histogram then has no peak inside the binned range.
-    A zero-amplitude fit (the baseline alone) may end on a bound, since its
-    width and center do not enter the model.  ``converged`` is True on
-    every returned fit.
+    one array expression on at most 64 bins (runs of adjacent bins merged by
+    their mean center and count), and one Nelder-Mead simplex in (ln width,
+    center) refines the best grid point on every bin, with the residual set
+    to 1e300 outside the box.  ``FitDivergedError`` is raised when the
+    simplex does not collapse below 1e-9 within 1000 evaluations, and when a
+    fit with a positive amplitude ends on a bound of the box (within 1e-6 of
+    its extent), which the error names: the histogram then has no peak
+    inside the binned range.  A zero-amplitude fit (the baseline alone) may
+    end on a bound, since its width and center do not enter the model.
+    ``converged`` is True on every returned fit.
     """
     centers = np.asarray(hist.centers())
     counts = np.asarray(hist.counts, dtype=float)
@@ -439,24 +441,20 @@ def fit_giddings(hist: Histogram) -> GiddingsFit:
     lo = np.array([math.log(min(hist.widths()) / 8), first])
     hi = np.array([math.log(4 * (last - first)), last])
 
-    def project(ln_width, center):
+    def project(ln_width, center, x=centers, y=counts):
         # broadcasts: column vectors give one row per (ln width, center)
-        return _project(_giddings_peak(centers, 1.0, np.exp(ln_width), center), counts)
+        return _project(_giddings_peak(x, 1.0, np.exp(ln_width), center), y)
 
     def objective(theta):
         inside = np.all((lo <= theta) & (theta <= hi)) and theta[1] > 0
         return float(project(*theta)[2]) if inside else 1e300
 
-    # the grid, in blocks of at most _GRID_CELLS values so that very many
-    # bins cannot exhaust memory (one block up to 455 bins)
-    ln_w, c = (
-        a.ravel()
-        for a in np.meshgrid(np.linspace(lo[0], hi[0], _GRID), np.linspace(lo[1], hi[1], _GRID))
-    )
-    rows = max(1, _GRID_CELLS // centers.size)
-    grid_ss = np.concatenate(
-        [project(ln_w[i : i + rows, None], c[i : i + rows, None])[2] for i in range(0, c.size, rows)]
-    )
+    # the grid runs on adjacent bins merged to at most _GRID_BINS by their
+    # mean center and count (the identity at _GRID_BINS bins or fewer)
+    starts = np.arange(0, centers.size, -(-centers.size // _GRID_BINS))
+    merged = np.add.reduceat(np.stack([centers, counts]), starts, axis=1)
+    ln_w, c = (a.ravel() for a in np.meshgrid(*np.linspace(lo, hi, _GRID, axis=1)))
+    grid_ss = project(ln_w[:, None], c[:, None], *merged / np.diff(starts, append=centers.size))[2]
     grid_ss[c == 0] = np.inf  # the peak at center 0 is identically 0
     best = int(np.argmin(grid_ss))
 

@@ -380,7 +380,7 @@ def _parse_group(raw, path: str, errors: list[str]) -> Group | None:
         errors.append(f"{path}.members: expected a non-empty list")
         return None
     for key in ("label", "quality_tag"):
-        if raw.get(key) is not None and not isinstance(raw[key], str):
+        if key in raw and not isinstance(raw[key], str):
             errors.append(f"{path}.{key}: expected a string")
             return None
 
@@ -399,11 +399,11 @@ def _parse_member(raw, path: str, errors: list[str]) -> ResearcherProfile | None
         errors.append(f"{path}.h_index: expected an integer in [0, 10**50]")
         return None
     total = raw.get("total_citations")
-    if total is not None and not _is_count(total):
+    if "total_citations" in raw and not _is_count(total):
         errors.append(f"{path}.total_citations: expected an integer in [0, 10**50]")
         return None
     papers = raw.get("paper_citations")
-    if papers is not None:
+    if "paper_citations" in raw:
         if not isinstance(papers, list) or not all(_is_count(c) for c in papers):
             errors.append(f"{path}.paper_citations: expected a list of integers in [0, 10**50]")
             return None

@@ -83,7 +83,7 @@ def sample_stretched_exp(
 def synth_group(group_id: str, member_hs: Sequence[int]) -> Group:
     """Group whose members carry the given h-indexes and no per-paper data.
 
-    The group has no label and no quality tag.
+    Its label is its id, and it has no quality tag.
     """
     members = tuple(
         ResearcherProfile(id=f"{group_id}-m{i:03d}", h_index=h)

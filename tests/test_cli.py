@@ -351,8 +351,10 @@ class TestRank:
             ("--seed", str(2**64), "--seed must fit in 64 unsigned bits"),
             ("--seed", "-1", "--seed must be non-negative"),
             ("--samples", "0", "--samples must be positive, got 0"),
+            ("--samples", "1000001", "--samples must be at most 1000000, got 1000001"),
+            ("--samples", str(10**23), f"--samples must be at most 1000000, got {10**23}"),
         ],
-        ids=["seed-2**64", "seed--1", "samples-0"],
+        ids=["seed-2**64", "seed--1", "samples-0", "samples-10**6+1", "samples-10**23"],
     )
     def test_flags_checked_before_the_input_is_read(self, capsys, tmp_path, flag, value, message):
         missing = tmp_path / "absent.csv"  # reading it would be an i/o error, exit 2

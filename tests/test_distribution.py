@@ -255,6 +255,15 @@ def reference_histogram(noise_seed=None):
     return Histogram(bin_edges=edges, counts=tuple(counts))
 
 
+def wide_histogram(n_bins, *peaks, noise_seed=None):
+    """``n_bins`` unit bins from h = 1 holding the sum of ``peaks``."""
+    edges = tuple(float(e) for e in range(1, n_bins + 2))
+    counts = np.array([sum(giddings_eval(h + 0.5, p) for p in peaks) for h in edges[:-1]])
+    if noise_seed is not None:
+        counts *= 1.0 + 0.01 * np.random.default_rng(noise_seed).standard_normal(n_bins)
+    return Histogram(bin_edges=edges, counts=tuple(counts))
+
+
 # pooled h-indexes of 5k members in bins of width 10
 POOLED_H = Histogram(
     bin_edges=tuple(float(e) for e in range(1, 82, 10)),
@@ -362,11 +371,63 @@ class TestFitGiddings:
         assert (fit.amplitude, fit.baseline, fit.residual_ss) == (0.0, 5.0, 0.0)
         assert fit.center > 0
 
-    def test_grid_in_blocks_matches_one_block(self, monkeypatch):
-        hist = reference_histogram(noise_seed=7)
-        whole = fit_giddings(hist)
-        monkeypatch.setattr(distribution, "_GRID_CELLS", 7 * len(hist.counts))
-        assert fit_giddings(hist) == whole
+    def test_grid_runs_on_at_most_64_bins(self, monkeypatch):
+        # 1,200 bins: one full-bin grid would pass 2,304 x 1,200 values
+        hist = wide_histogram(1200, GiddingsFit(3.0, 4e4, 20.0, 400.0))
+        sizes = []
+        bessel = distribution.bessel_i1_scaled
+
+        def recording(x):
+            sizes.append(np.size(x))
+            return bessel(x)
+
+        monkeypatch.setattr(distribution, "bessel_i1_scaled", recording)
+        assert fit_giddings(hist).converged
+        assert max(sizes) <= 64 * 2304
+        assert sizes.count(1200) == len(sizes) - 1  # the simplex sees every bin
+
+    def test_merge_is_the_identity_at_64_bins(self, monkeypatch):
+        hist = wide_histogram(64, GiddingsFit(1.0, 500.0, 2.0, 20.0), noise_seed=3)
+        merged = fit_giddings(hist)
+        monkeypatch.setattr(distribution, "_GRID_BINS", 10**6)
+        assert fit_giddings(hist) == merged
+
+    @pytest.mark.parametrize(
+        "hist",
+        [
+            # a spike about 2.4 bins wide on a broad peak: 300 bins merge in
+            # runs of 5, so the merged grid starts the simplex elsewhere
+            wide_histogram(
+                300, GiddingsFit(5.0, 2000.0, 50.0, 100.0), GiddingsFit(0.0, 300.0, 0.15, 20.0)
+            ),
+            wide_histogram(
+                240,
+                GiddingsFit(1.0, 3000.0, 6.0, 60.0),
+                GiddingsFit(0.0, 2000.0, 6.0, 170.0),
+                noise_seed=5,
+            ),
+        ],
+        ids=["narrow-spike", "two-peaks"],
+    )
+    def test_merged_grid_matches_the_full_grid(self, monkeypatch, hist):
+        merged = fit_giddings(hist)
+        monkeypatch.setattr(distribution, "_GRID_BINS", 10**6)
+        full = fit_giddings(hist)
+        assert merged.width == pytest.approx(full.width, rel=1e-6)
+        assert merged.center == pytest.approx(full.center, rel=1e-6)
+        assert merged.residual_ss <= full.residual_ss * (1 + 1e-9)
+
+    def test_bound_refusal_names_the_full_bins(self):
+        # merged in runs of 4, the bins would be 4 wide and the floor 0.5
+        counts = [2.0] * 200
+        counts[100] = counts[101] = 30.0
+        hist = Histogram(bin_edges=tuple(float(e) for e in range(201)), counts=tuple(counts))
+        with pytest.raises(FitDivergedError) as exc:
+            fit_giddings(hist)
+        assert str(exc.value) == (
+            "Giddings fit ends on the search box bound width = min bin width / 8 = 0.125: "
+            "the histogram has no interior peak"
+        )
 
     def test_evaluation_budget(self, monkeypatch):
         # one call for the whole grid plus one per simplex evaluation;

@@ -3,8 +3,10 @@
 import csv
 import io
 import json
+from pathlib import Path
 
 import pytest
+from jsonschema import Draft202012Validator
 
 from alphaindex.ingest import (
     LONG_FORM_HEADER,
@@ -20,6 +22,11 @@ from alphaindex.model import validate
 
 import ingest_reference
 from conftest import random_dataset
+
+
+DATASET_SCHEMA = json.loads(
+    (Path(__file__).resolve().parent.parent / "docs" / "dataset.schema.json").read_text(encoding="utf-8")
+)
 
 
 def rows(text: str) -> io.StringIO:
@@ -416,6 +423,12 @@ def test_summary_form_matches_reference_loop(tmp_path, rng):
         assert any(kind in e for e in errors), kind
 
 
+def _one_member_doc(group=None, member=None) -> dict:
+    """A one-group, one-member document with ``group`` and ``member`` keys merged in."""
+    base_member = {"id": "r", "h_index": 1}
+    return {"groups": [{"id": "g", "members": [base_member | (member or {})]} | (group or {})]}
+
+
 class TestJsonDocuments:
     def test_round_trip_100_random_datasets(self, rng):
         for _ in range(100):
@@ -485,8 +498,16 @@ class TestJsonDocuments:
              "groups[0].label: expected a string"),
             ({"groups": [{"id": "g", "members": [{"id": "r", "h_index": 1}, "r2"]}]},
              "groups[0].members[1]: expected an object"),
+            # written back, a null label would become the group id
+            (_one_member_doc(group={"label": None}), "groups[0].label: expected a string"),
+            (_one_member_doc(group={"quality_tag": None}), "groups[0].quality_tag: expected a string"),
+            (_one_member_doc(member={"total_citations": None}),
+             "groups[0].members[0].total_citations: expected an integer in [0, 10**50]"),
+            (_one_member_doc(member={"paper_citations": None}),
+             "groups[0].members[0].paper_citations: expected a list of integers in [0, 10**50]"),
         ],
-        ids=["not-object", "unknown-keys", "groups-not-list", "no-members", "label", "member"],
+        ids=["not-object", "unknown-keys", "groups-not-list", "no-members", "label", "member",
+             "null-label", "null-quality_tag", "null-total_citations", "null-paper_citations"],
     )
     def test_schema_refusals(self, doc, error):
         assert read_dataset(doc).errors == (error,)
@@ -494,6 +515,43 @@ class TestJsonDocuments:
     def test_boolean_not_accepted_as_integer(self):
         doc = {"groups": [{"id": "g", "members": [{"id": "r", "h_index": True}]}]}
         assert not read_dataset(doc).ok
+
+
+@pytest.mark.parametrize(
+    "doc, ok",
+    [
+        (_one_member_doc(), True),
+        (_one_member_doc(group={"label": None}), False),
+        (_one_member_doc(group={"quality_tag": None}), False),
+        (_one_member_doc(member={"total_citations": None}), False),
+        (_one_member_doc(member={"paper_citations": None}), False),
+        (_one_member_doc(member={"h_index": 10**50}), True),
+        (_one_member_doc(member={"h_index": 10**50 + 1}), False),
+        (_one_member_doc(member={"total_citations": 10**50}), True),
+        (_one_member_doc(member={"total_citations": 10**50 + 1}), False),
+        (_one_member_doc(member={"total_citations": 10**50, "paper_citations": [10**50]}), True),
+        (_one_member_doc(member={"total_citations": 10**50, "paper_citations": [10**50 + 1]}), False),
+        (_one_member_doc(member={"h_index": True}), False),
+        (_one_member_doc(member={"total_citations": True}), False),
+        (_one_member_doc(member={"paper_citations": [True]}), False),
+        *(
+            (_one_member_doc(**{where: {"id": text}}), ok)
+            for where in ("group", "member")
+            for text, ok in ((" ", False), ("a\n", False), ("a\u0085b", False), ("a b", True))
+        ),
+    ],
+    ids=[
+        "valid", "null-label", "null-quality_tag", "null-total_citations", "null-paper_citations",
+        "h_index-10**50", "h_index-10**50+1", "total-10**50", "total-10**50+1",
+        "paper-10**50", "paper-10**50+1", "true-h_index", "true-total", "true-paper",
+        *(f"{where}-id-{name}" for where in ("group", "member")
+          for name in ("blank", "line-break", "NEL", "inner-space")),
+    ],
+)
+def test_reader_agrees_with_the_schema(doc, ok):
+    # ids holding a lone surrogate are refused by the reader only: JSON
+    # Schema cannot tell a lone surrogate from a pair
+    assert read_dataset(doc).ok == Draft202012Validator(DATASET_SCHEMA).is_valid(doc) == ok
 
 
 class TestCountCeiling:
