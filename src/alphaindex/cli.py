@@ -229,39 +229,6 @@ def _cmd_psi(args) -> Result:
 # -- distfit ----------------------------------------------------------------
 
 
-# Largest grid a start:stop:step spec may expand to, checked before the grid
-# is built (the same guard as distribution's histogram bin limit).
-_MAX_GRID = 1_000_000
-
-
-def _parse_grid(spec: str) -> tuple[float, ...]:
-    """Grid syntax: 'start:stop:step' (inclusive) or a comma list."""
-    if ":" in spec:
-        parts = spec.split(":")
-        if len(parts) != 3:
-            raise CliError(f"grid {spec!r} must be start:stop:step or a comma list")
-        start, stop, step = (float(p) for p in parts)
-        if not all(math.isfinite(v) for v in (start, stop, step)):
-            raise CliError(f"grid {spec!r} has a non-finite start, stop or step")
-        if step <= 0 or stop < start:
-            raise CliError(f"grid {spec!r} has a bad range")
-        span = (stop - start) / step  # may overflow to inf for finite bounds
-        if not span < _MAX_GRID:
-            raise CliError(f"grid {spec!r} exceeds the {_MAX_GRID} point limit")
-        count = math.floor(span)  # whole steps that stay at or below stop
-        # float noise can put the span just under a whole number of steps
-        if math.isclose(start + (count + 1) * step, stop, rel_tol=1e-9, abs_tol=1e-9 * step):
-            count += 1
-        return tuple(round(start + i * step, 12) for i in range(count + 1))
-    try:
-        grid = tuple(float(p) for p in spec.split(","))
-    except ValueError:
-        raise CliError(f"grid {spec!r} is not a comma list of numbers") from None
-    if not all(math.isfinite(v) for v in grid):
-        raise CliError(f"grid {spec!r} has a non-finite value")
-    return grid
-
-
 def _require_totals(dataset, analysis: str) -> None:
     missing = [
         f"{g.id}/{m.id}"
@@ -275,39 +242,21 @@ def _require_totals(dataset, analysis: str) -> None:
         )
 
 
-def _citation_inputs(args, dataset):
-    """Pooled positive citation totals, then the beta grid.
+def _citation_totals(args, dataset) -> list[float]:
+    """Pooled positive citation totals.
 
     Missing totals abort; zero totals are excluded with a warning.
     """
-    from . import distribution
-
     _require_totals(dataset, "citation analyses")
     values = [m.total_citations for g in dataset.groups for m in g.members]
     positive = [float(v) for v in values if v > 0]
     excluded = len(values) - len(positive)
     if excluded:
         _warn(args, f"excluded {excluded} zero-citation member(s) from the fit")
-    beta_grid = (
-        distribution.DEFAULT_BETA_GRID if args.beta_grid is None else _parse_grid(args.beta_grid)
-    )
-    return positive, beta_grid
-
-
-# distfit options that only some analyses read; any other analysis refuses them
-_DISTFIT_OPTION_ANALYSES = {
-    "beta_grid": ("--beta-grid", ("beta", "moments")),
-    "k_grid": ("--k-grid", ("moments",)),
-}
+    return positive
 
 
 def _cmd_distfit(args) -> Result:
-    for attr, (flag, analyses) in _DISTFIT_OPTION_ANALYSES.items():
-        if getattr(args, attr) is not None and args.analysis not in analyses:
-            raise CliError(
-                f"{flag} does not apply to --analysis {args.analysis}; "
-                f"it applies to --analysis {' or '.join(analyses)}"
-            )
     dataset = _load_dataset(args)
     handler = {
         "slope": _distfit_slope,
@@ -340,8 +289,7 @@ def _distfit_slope(args, dataset) -> Result:
 def _distfit_beta(args, dataset) -> Result:
     from . import distribution
 
-    values, beta_grid = _citation_inputs(args, dataset)
-    fit = distribution.fit_beta(values, beta_grid)
+    fit = distribution.fit_beta(_citation_totals(args, dataset))
     doc = {
         "beta": fit.beta,
         "grid": list(fit.grid),
@@ -396,14 +344,14 @@ def _distfit_normality(args, dataset) -> Result:
 
 
 def _distfit_moments(args, dataset) -> Result:
+    """Sample moment ratios beside the theoretical ones, on the fixed k and beta grids."""
     import numpy as np
 
     from . import distribution
 
-    values, beta_grid = _citation_inputs(args, dataset)
-    k_grid = distribution.DEFAULT_K_GRID if args.k_grid is None else _parse_grid(args.k_grid)
+    beta_grid, k_grid = distribution.DEFAULT_BETA_GRID, distribution.DEFAULT_K_GRID
     # one float array for every k, not one list conversion per call
-    xs = np.asarray(values, dtype=float)
+    xs = np.asarray(_citation_totals(args, dataset), dtype=float)
     empirical = [distribution.empirical_moment_ratio(k, xs) for k in k_grid]
     theoretical = {
         beta: [distribution.theoretical_moment_ratio(k, beta) for k in k_grid]
@@ -425,8 +373,8 @@ def _distfit_moments(args, dataset) -> Result:
 
 
 # Largest sample synth draws, checked before any draw is allocated (the same
-# guard as the grid point limit above), and most subsets rank draws per group
-# (10**6 take 3-4 s for six committees).
+# guard as distribution's histogram bin limit), and most subsets rank draws
+# per group (10**6 take 3-4 s for six committees).
 _MAX_SYNTH_N = 1_000_000
 _MAX_SAMPLES = 1_000_000
 
@@ -447,6 +395,8 @@ def _cmd_synth(args) -> Result:
         raise CliError("--seed must be non-negative")
     if args.group_id is not None and not args.round:
         raise CliError("--group-id applies only with --round")
+    if args.group_id is not None and not args.group_id.strip():
+        raise CliError("--group-id must not be blank")
     if args.group_id is not None and ingest._has_control(args.group_id):
         raise CliError("--group-id must not contain a control character")
     import numpy as np
@@ -523,8 +473,6 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=("slope", "beta", "giddings", "normality", "moments"),
     )
     p.add_argument("--bin-width", type=float, default=1.0)
-    p.add_argument("--beta-grid", default=None, help="start:stop:step or comma list")
-    p.add_argument("--k-grid", default=None, help="start:stop:step or comma list")
     p.set_defaults(handler=_cmd_distfit)
 
     p = sub.add_parser("synth", parents=[common], help="synthetic stretched-exponential sample")

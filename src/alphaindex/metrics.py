@@ -14,9 +14,12 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import accumulate
+from typing import TYPE_CHECKING
 
 from .errors import DegenerateGroupError
-from .model import Group
+
+if TYPE_CHECKING:  # model imports h_index from here
+    from .model import Group
 
 
 def h_index(citations: Sequence[int]) -> int:

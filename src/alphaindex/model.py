@@ -15,6 +15,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
+from .metrics import h_index
+
 #: Ceiling on every count: ``h_index``, ``total_citations`` and per-paper
 #: citations.  Below it the squares and fourth powers of deviations
 #: (variance, kurtosis) stay finite.  Moment ratios are taken in log space
@@ -150,8 +152,6 @@ def validate(dataset: Dataset) -> list[Violation]:
     The checks are order-insensitive: permuting groups or members yields the
     same violation multiset.
     """
-    from .metrics import h_index  # deferred to avoid a module cycle
-
     violations: list[Violation] = []
 
     group_ids = Counter(g.id for g in dataset.groups)
@@ -172,12 +172,12 @@ def validate(dataset: Dataset) -> list[Violation]:
             )
         for member in group.members:
             violations.extend(
-                Violation(group.id, member.id, reason) for reason in _profile_issues(member, h_index)
+                Violation(group.id, member.id, reason) for reason in _profile_issues(member)
             )
     return violations
 
 
-def _profile_issues(member: ResearcherProfile, h_index) -> list[str]:
+def _profile_issues(member: ResearcherProfile) -> list[str]:
     issues = []
     if member.paper_citations is not None:
         true_h = h_index(member.paper_citations)

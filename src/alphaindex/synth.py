@@ -60,7 +60,8 @@ def sample_stretched_exp(
     ``round_to_int`` the draws are rounded to integers so they can feed
     h-index-based metrics, which expect integer values.  ``ValueError`` is
     raised when extreme parameters push a draw out of the positive doubles
-    (to infinity for tiny beta, to 0 for huge beta).
+    (to infinity for tiny beta, to 0 for huge beta), or a rounded draw past
+    the 64-bit integers.
     """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
@@ -76,7 +77,14 @@ def sample_stretched_exp(
             "not finite positive doubles"
         )
     if round_to_int:
-        return np.rint(x).astype(int)
+        x = np.rint(x)
+        # the int64 cast would wrap these to negative counts
+        if x.max() >= 2.0**63:
+            raise ValueError(
+                f"beta={params.beta} with scale={params.scale} gives rounded draws of "
+                "2**63 or more, past the 64-bit integers"
+            )
+        return x.astype(int)
     return x
 
 

@@ -12,6 +12,7 @@ import pytest
 
 import alphaindex
 from alphaindex.cli import main
+from alphaindex.distribution import DEFAULT_BETA_GRID, DEFAULT_K_GRID
 from alphaindex.ingest import write_dataset
 from alphaindex.model import Dataset, Group
 from alphaindex.synth import synth_group
@@ -177,15 +178,16 @@ class TestParserReuse:
         assert provenance["seed"] == 0
         assert provenance["n_samples"] == 1000
 
-    def test_distfit_objective_does_not_carry_over(self, capsys, summary_file):
-        code, _, _ = run(capsys, "distfit", summary_file, "--analysis", "moments",
-                         "--k-grid", "1,2", "--format", "json")
-        assert code == 0
-        # beta refuses --k-grid, so a leaked value would exit 1
-        code, out, err = run(capsys, "distfit", summary_file, "--analysis", "beta",
-                             "--format", "json")
+    def test_distfit_objective_does_not_carry_over(self, capsys, tmp_path):
+        path = peaked_csv(tmp_path)
+        code, out, _ = run(capsys, "distfit", path, "--analysis", "giddings",
+                           "--bin-width", "3", "--format", "json", "--quiet")
+        assert (code, json.loads(out)["bins"]) == (0, 10)
+        # a leaked --bin-width 3 would give 10 bins again
+        code, out, err = run(capsys, "distfit", path, "--analysis", "giddings",
+                             "--format", "json", "--quiet")
         assert code == 0, err
-        assert json.loads(out)["grid"]
+        assert json.loads(out)["bins"] == 29
 
 
 class TestMetrics:
@@ -501,53 +503,6 @@ class TestDistfit:
         check_schema(doc, "distfit_beta")
         assert doc["beta"] in doc["grid"]
 
-    def test_beta_grid_flags(self, capsys, summary_file):
-        code, out, _ = run(
-            capsys, "distfit", summary_file, "--analysis", "beta",
-            "--beta-grid", "0.2:0.3:0.05", "--format", "json", "--quiet",
-        )
-        assert code == 0
-        doc = json.loads(out)
-        assert doc["grid"] == [0.2, 0.25, 0.3]
-
-    @pytest.mark.parametrize(
-        "spec, grid",
-        [
-            ("1:2:0.5", (1.0, 1.5, 2.0)),
-            ("1:2:0.6", (1.0, 1.6)),
-            ("0:1:0.6", (0.0, 0.6)),
-            ("0.2:0.3:0.1", (0.2, 0.3)),
-            ("0.2:0.34:0.02", (0.2, 0.22, 0.24, 0.26, 0.28, 0.3, 0.32, 0.34)),
-            ("-0.3:0:0.1", (-0.3, -0.2, -0.1, 0.0)),
-            # the span reads 0.99999999899: noise relative to the endpoints
-            ("-63432:-63431.9982:0.0018", (-63432.0, -63431.9982)),
-        ],
-    )
-    def test_range_grid_stops_at_stop(self, spec, grid):
-        from alphaindex.cli import _parse_grid
-
-        assert _parse_grid(spec) == grid
-
-    @pytest.mark.parametrize(
-        "flag, analyses, applies",
-        [
-            (["--beta-grid", "0.2,0.3"], ["slope", "giddings", "normality"], "beta or moments"),
-            (["--k-grid", "1.0,2.0"], ["beta", "slope", "giddings", "normality"], "moments"),
-        ],
-        ids=["beta-grid", "k-grid"],
-    )
-    def test_inapplicable_option_refused(self, capsys, summary_file, flag, analyses, applies):
-        for analysis in analyses:
-            code, out, err = run(
-                capsys, "distfit", summary_file, "--analysis", analysis, *flag, "--quiet"
-            )
-            assert code == 1, analysis
-            assert out == ""
-            assert err == (
-                f"error: {flag[0]} does not apply to --analysis {analysis}; "
-                f"it applies to --analysis {applies}\n"
-            )
-
     def test_objective_flag_is_gone(self, capsys, summary_file):
         with pytest.raises(SystemExit) as exc:
             main(["distfit", str(summary_file), "--analysis", "beta", "--objective", "moments"])
@@ -560,86 +515,6 @@ class TestDistfit:
         )
         assert code == 0
         assert set(json.loads(out)) == {"beta", "grid", "objective_per_beta"}
-
-    @pytest.mark.parametrize("flag", ["--beta-grid", "--k-grid"])
-    def test_empty_grid_spec_refused(self, capsys, summary_file, flag):
-        code, out, err = run(
-            capsys, "distfit", summary_file, "--analysis", "moments", f"{flag}=", "--quiet"
-        )
-        assert (code, out) == (1, "")
-        assert err == "error: grid '' is not a comma list of numbers\n"
-
-    @pytest.mark.parametrize(
-        "spec, reason",
-        [
-            ("0.1:inf:0.1", "non-finite"),
-            ("-inf:0.3:0.1", "non-finite"),
-            ("0.1:0.3:nan", "non-finite"),
-            ("0:1:1e-9", "point limit"),
-            ("0:1e308:1e-300", "point limit"),
-            ("0.2,nan", "non-finite"),
-            ("0.2,inf", "non-finite"),
-        ],
-    )
-    def test_grid_bounds(self, capsys, summary_file, monkeypatch, spec, reason):
-        import alphaindex.cli as cli
-
-        # a grid must be refused before any of its points is built
-        monkeypatch.setattr(cli, "round", lambda *a: pytest.fail("grid was built"), raising=False)
-        for flag in ("--beta-grid", "--k-grid"):
-            code, _, err = run(
-                capsys, "distfit", summary_file, "--analysis", "moments", f"{flag}={spec}", "--quiet"
-            )
-            assert code == 1
-            assert spec in err and reason in err
-
-    @pytest.mark.parametrize("spec", ["2:1:0.5", "1:2:0", "1:2:-0.5"])
-    def test_grid_with_bad_range_refused(self, capsys, summary_file, spec):
-        for flag in ("--beta-grid", "--k-grid"):
-            code, out, err = run(
-                capsys, "distfit", summary_file, "--analysis", "moments", f"{flag}={spec}", "--quiet"
-            )
-            assert (code, out) == (1, "")
-            assert err == f"error: grid {spec!r} has a bad range\n"
-
-    def test_beta_grid_floor(self, capsys, summary_file):
-        code, out, err = run(
-            capsys, "distfit", summary_file, "--analysis", "beta", "--beta-grid", "1e-300,0.3"
-        )
-        assert (code, out) == (1, "")
-        assert err == "error: beta grid values must be at least 1e-06, got 1e-300\n"
-
-    @pytest.mark.parametrize(
-        "total, argv, named",
-        [
-            (500, ["moments", "--beta-grid", "1e-300,0.3"], "moment ratio at k=1.1, beta=1e-300"),
-            (500, ["moments", "--k-grid", "1,1e300"], "sample moment ratio at k=1e+300"),
-            # R_k is about 12 ** (k - 1) at the count ceiling, ln R_k about k * ln 12
-            (10**50, ["moments", "--k-grid", "1,300", "--format", "json"], "k=300.0"),
-        ],
-        ids=["theoretical", "empirical", "ceiling-moments"],
-    )
-    def test_moment_ratio_outside_double_range(self, capsys, tmp_path, total, argv, named):
-        lines = ["group_id,researcher_id,h_index,total_citations", f"g,r0,3,{total}"]
-        lines += [f"g,r{i},3,{20 + 13 * i}" for i in range(1, 12)]
-        path = tmp_path / "totals.csv"
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            code, out, err = run(capsys, "distfit", path, "--analysis", *argv)
-        assert (code, out) == (1, "")
-        assert err.startswith("error: ") and named in err and "Traceback" not in err
-
-    def test_moment_ratio_at_count_ceiling_is_finite(self, capsys, tmp_path):
-        lines = ["group_id,researcher_id,h_index,total_citations", f"g,r0,3,{10**50}"]
-        lines += [f"g,r{i},3,{20 + 13 * i}" for i in range(1, 12)]
-        path = tmp_path / "totals.csv"
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        code, out, _ = run(
-            capsys, "distfit", path, "--analysis", "moments", "--k-grid", "1,10", "--format", "json"
-        )
-        assert code == 0
-        assert json.loads(out)["empirical"] == [1.0, pytest.approx(12.0**9, rel=1e-12)]
 
     @pytest.mark.parametrize(
         "argv, named",
@@ -655,7 +530,10 @@ class TestDistfit:
         assert err.startswith("error: ") and named in err
 
     @pytest.mark.parametrize(
-        "flag, value", [("--binning", "geometric"), ("--bin-ratio", "2")], ids=lambda v: v
+        "flag, value",
+        [("--binning", "geometric"), ("--bin-ratio", "2"), ("--beta-grid", "0.2,0.3"),
+         ("--k-grid", "1,2")],
+        ids=lambda v: v,
     )
     def test_binning_flags_are_gone(self, capsys, summary_file, flag, value):
         with pytest.raises(SystemExit) as exc:
@@ -672,12 +550,13 @@ class TestDistfit:
 
     def test_moments_table(self, capsys, summary_file):
         code, out, _ = run(
-            capsys, "distfit", summary_file, "--analysis", "moments",
-            "--k-grid", "1.0,2.0", "--format", "json", "--quiet",
+            capsys, "distfit", summary_file, "--analysis", "moments", "--format", "json", "--quiet",
         )
         assert code == 0
         doc = json.loads(out)
         check_schema(doc, "distfit_moments")
+        assert doc["k_grid"] == list(DEFAULT_K_GRID)
+        assert list(doc["theoretical"]) == [str(b) for b in DEFAULT_BETA_GRID]
         assert doc["empirical"][0] == pytest.approx(1.0)
 
     def test_giddings_on_peaked_data(self, capsys, tmp_path):
@@ -762,9 +641,25 @@ class TestSynth:
         assert (code, out, err) == (1, "", "error: --group-id applies only with --round\n")
 
     def test_empty_group_id_is_refused(self, capsys):
-        code, out, err = run(capsys, "synth", "--beta", "0.5", "--n", "3", "--round", "--group-id", "")
+        # a blank id would be written, then refused by every reader
+        for group_id in ("", " "):
+            code, out, err = run(
+                capsys, "synth", "--beta", "0.5", "--n", "3", "--round", "--group-id", group_id
+            )
+            assert (code, out, err) == (1, "", "error: --group-id must not be blank\n")
+
+    def test_rounded_draw_past_int64_is_refused(self, capsys):
+        # rounded to int64 unchecked, the draw would wrap to -2**63
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(
+                capsys, "synth", "--beta", "0.3", "--x0", "1e25", "--n", "3", "--round"
+            )
         assert (code, out) == (1, "")
-        assert "group id must be non-empty" in err
+        assert err == (
+            "error: beta=0.3 with scale=1e+25 gives rounded draws of 2**63 or more, "
+            "past the 64-bit integers\n"
+        )
 
     @pytest.mark.parametrize("char", ["\n", "\x1b", "\u2028"], ids=["LF", "ESC", "LS"])
     def test_group_id_with_control_character_is_refused(self, capsys, char):

@@ -129,8 +129,6 @@ def _argvs() -> list[list[str]]:
         runs += [
             ["rank", "flat.json", *f],
             ["rank", "flat.json", "--quiet", *f],
-            ["distfit", "groups.json", "--analysis", "moments",
-             "--beta-grid", "0.3,0.5", "--k-grid", "1:2:0.5", *f],
             ["distfit", "groups.json", "--analysis", "giddings", "--bin-width", "2", *f],
             ["synth", "--beta", "0.5", "--n", "8", "--seed", "3", *f],
             ["synth", "--beta", "0.7", "--n", "6", "--x0", "10", "--seed", "1", *f],
@@ -159,10 +157,6 @@ def _argvs() -> list[list[str]]:
         ["metrics", "missing.json"],
         ["rank", "groups.json", "--samples", "0"],
         ["rank", "groups.json", "--seed", "-1"],
-        ["distfit", "groups.json", "--analysis", "slope", "--k-grid", "1,2"],
-        ["distfit", "groups.json", "--analysis", "beta", "--beta-grid", "0.1:inf:0.1"],
-        ["distfit", "groups.json", "--analysis", "moments", "--k-grid", "1,x"],
-        ["distfit", "groups.json", "--analysis", "moments", "--k-grid", "1:2"],
         ["synth", "--beta", "0", "--n", "5"],
         ["synth", "--beta", "1", "--n", "0"],
         ["synth", "--beta", "1", "--x0", "-2", "--n", "5"],

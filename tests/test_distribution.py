@@ -65,6 +65,10 @@ class TestPowerLawSlope:
             power_law_slope([(1, 1), (0, 5)])
 
 
+# one total at the count ceiling among eleven small ones
+_CEILING_TOTALS = [float(MAX_COUNT), *(20.0 + 13 * i for i in range(1, 12))]
+
+
 class TestMomentRatios:
     def test_first_ratio_is_one(self):
         for beta in DEFAULT_BETA_GRID + (0.5, 1.0, 2.0):
@@ -112,6 +116,10 @@ class TestMomentRatios:
         assert empirical_moment_ratio(2000, [7.5] * 16) == pytest.approx(1.0, abs=1e-12)
         assert empirical_moment_ratio(10, [1e50, 2.0, 3.0]) == pytest.approx(3.0**9, rel=1e-12)
 
+    def test_empirical_at_count_ceiling_is_finite(self):
+        # R_k is about 12 ** (k - 1) here; k = 300 is refused below
+        assert empirical_moment_ratio(10.0, _CEILING_TOTALS) == pytest.approx(12.0**9, rel=1e-12)
+
     def test_empirical_matches_exact_fraction(self):
         # at integer k and integer totals R_k is an exact rational; the worst
         # error on this set is about 5e-14
@@ -137,8 +145,10 @@ class TestMomentRatios:
             (theoretical_moment_ratio, (2.0, 1e-306), "k=2.0, beta=1e-306"),  # lgamma overflows
             (empirical_moment_ratio, (1e300, [2.0, 3.0]), "k=1e+300"),  # n ** (k - 1) overflows
             (empirical_moment_ratio, (1000, [1e50, 2.0, 3.0]), "k=1000"),  # about 3 ** 999
+            # R_k is about 12 ** (k - 1) here, ln R_k about k * ln 12
+            (empirical_moment_ratio, (300.0, _CEILING_TOTALS), "k=300.0"),
         ],
-        ids=["exp", "lgamma", "power", "overflow"],
+        ids=["exp", "lgamma", "power", "overflow", "ceiling"],
     )
     def test_ratio_outside_double_range_refused(self, ratio, args, named):
         with warnings.catch_warnings():

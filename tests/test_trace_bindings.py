@@ -49,7 +49,7 @@ def test_tracer_sees_every_layer_and_restores_it(tracing, summary_file, capsys):
     commands = [
         ["rank", summary_file, "--samples", "20"],
         ["metrics", summary_file],
-        ["distfit", summary_file, "--analysis", "moments", "--k-grid", "1,2"],
+        ["distfit", summary_file, "--analysis", "moments"],
         ["distfit", summary_file, "--analysis", "giddings"],
     ]
     tracer = tracing.Tracer()
