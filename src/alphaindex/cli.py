@@ -397,6 +397,8 @@ def _cmd_synth(args) -> Result:
         raise CliError("--group-id applies only with --round")
     if args.group_id is not None and not args.group_id.strip():
         raise CliError("--group-id must not be blank")
+    if args.group_id is not None and args.group_id != args.group_id.strip():
+        raise CliError("--group-id must not begin or end with whitespace")
     if args.group_id is not None and ingest._has_control(args.group_id):
         raise CliError("--group-id must not contain a control character")
     import numpy as np

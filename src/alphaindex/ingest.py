@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .metrics import h_index
-from .model import MAX_COUNT, Dataset, Group, ResearcherProfile, validate
+from .model import MAX_COUNT, Dataset, Group, ResearcherProfile, _checked_profile, validate
 
 LONG_FORM_HEADER = ("group_id", "researcher_id", "paper_id", "citations")
 SUMMARY_FORM_HEADER = ("group_id", "researcher_id", "h_index", "total_citations")
@@ -184,7 +184,10 @@ def _long_form_rows(rows, fields, errors: list[str], warnings: list[str]) -> dic
             pid = pid.strip()
             if not gid or not rid or not pid:
                 raise _RowError("blank group_id, researcher_id, or paper_id")
-            cites = _parse_count(raw.strip(), "citations")
+            if raw.isdigit() and raw.isascii() and len(raw) <= _PLAIN_DIGITS:
+                cites = int(raw)
+            else:
+                cites = _parse_count(raw.strip(), "citations")
             if rid != run_rid or gid != run_gid:
                 if not (gid.isprintable() and rid.isprintable()) and _has_control(gid, rid):
                     raise _RowError(_CONTROL_ID)
@@ -203,20 +206,18 @@ def _long_form_rows(rows, fields, errors: list[str], warnings: list[str]) -> dic
     if errors:
         return groups
     for (gid, rid), member in papers.items():
-        cites = list(member.values())
+        cites = tuple(member.values())
         total = sum(cites)
         if total > MAX_COUNT:
             errors.append(f"{rid!r} in {gid!r}: total citations exceed the ceiling 10**50")
             continue
-        groups.setdefault(gid, []).append(
-            ResearcherProfile(
-                id=rid,
-                h_index=h_index(cites),
-                total_citations=total,
-                paper_citations=tuple(cites),
-            )
-        )
+        groups.setdefault(gid, []).append(_checked_profile((rid, h_index(cites), total, cites)))
     return groups
+
+
+# A field of at most this many ASCII digits is a count below 10**50 <= MAX_COUNT,
+# so the row loops read it with int() alone; any other field goes to _parse_count.
+_PLAIN_DIGITS = 50
 
 
 def _parse_count(raw: str, column: str) -> int:
@@ -281,18 +282,22 @@ def _summary_form_rows(rows, fields, errors: list[str], warnings: list[str]) -> 
                 raise _RowError("blank group_id or researcher_id")
             if not (gid.isprintable() and rid.isprintable()) and _has_control(gid, rid):
                 raise _RowError(_CONTROL_ID)
-            h = _parse_count(h_raw.strip(), "h_index")
-            total_raw = total_raw.strip()
+            if h_raw.isdigit() and h_raw.isascii() and len(h_raw) <= _PLAIN_DIGITS:
+                h = int(h_raw)
+            else:
+                h = _parse_count(h_raw.strip(), "h_index")
             total: int | None = None
-            if total_raw:
-                total = _parse_count(total_raw, "total_citations")
-                if h > total:
-                    raise _RowError(f"h_index {h} exceeds total_citations {total}")
+            if total_raw.isdigit() and total_raw.isascii() and len(total_raw) <= _PLAIN_DIGITS:
+                total = int(total_raw)
+            elif total_raw.strip():
+                total = _parse_count(total_raw.strip(), "total_citations")
             else:
                 warnings.append(
                     f"row {rows.line_num + 1}: {rid!r} has no total_citations; "
                     "citation-distribution analyses will exclude this member"
                 )
+            if total is not None and h > total:
+                raise _RowError(f"h_index {h} exceeds total_citations {total}")
             if gid != run_gid:
                 run_gid = gid
                 if gid not in groups:
@@ -305,7 +310,7 @@ def _summary_form_rows(rows, fields, errors: list[str], warnings: list[str]) -> 
             errors.append(f"row {rows.line_num + 1}: {exc}")
             continue
         ids.add(rid)
-        members.append(ResearcherProfile(rid, h, total))
+        members.append(_checked_profile((rid, h, total, None)))
     return groups
 
 

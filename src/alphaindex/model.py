@@ -10,6 +10,7 @@ violations as data rather than raising.
 
 from __future__ import annotations
 
+import functools
 import operator
 from collections import Counter
 from dataclasses import dataclass, field
@@ -84,6 +85,14 @@ class ResearcherProfile(_ProfileFields):
     def _make(cls, iterable) -> ResearcherProfile:
         # the inherited _make, which _replace calls, skips __new__
         return cls(*iterable)
+
+
+# A profile from the tuple (id, h_index, total_citations, paper_citations),
+# built without the checks of ResearcherProfile.__new__.  The caller must
+# already have checked that the id is a str that is not blank, that each
+# count is a plain int in [0, MAX_COUNT], and that paper_citations is None
+# or a tuple of such ints.
+_checked_profile = functools.partial(tuple.__new__, ResearcherProfile)
 
 
 def _count(value, rid: str, name: str) -> int:

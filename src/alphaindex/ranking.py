@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass
 
 from . import _kernels
 from .errors import SampleTooLargeError, TooFewGroupsError
-from .metrics import gini, h_group
+from .metrics import gini, h_group, h_index
 from .model import MAX_COUNT, Group
 
 _MAX_SEED = 2**64 - 1
@@ -55,6 +55,9 @@ def relative_h_group(
         raise SampleTooLargeError(
             f"sample_size {sample_size} exceeds group {target.id!r} size {len(hs)}"
         )
+    if sample_size == len(hs) and n_samples >= 1:  # the kernel refuses n_samples < 1
+        # every subset is the whole group, so the kernel would sum h * n_samples
+        return float(h_index(hs))
     # surrogatepass encodes every str, so no id can make the key raise
     digest = hashlib.blake2b(target.id.encode("utf-8", "surrogatepass"), digest_size=8).digest()
     key = int.from_bytes(digest, "little")

@@ -479,6 +479,18 @@ class TestDistfit:
         assert code == 1
         assert "named-one" in err
 
+    def test_slope_on_identical_h_values_refused(self, capsys, tmp_path):
+        path = tmp_path / "flat.csv"
+        path.write_text(
+            "group_id,researcher_id,h_index,total_citations\n"
+            "g,r1,3,10\n"
+            "g,r2,3,20\n"
+            "g,r3,3,30\n",
+            encoding="utf-8",
+        )
+        code, out, err = run(capsys, "distfit", path, "--analysis", "slope")
+        assert (code, out, err) == (1, "", "error: all h values identical; slope is undefined\n")
+
     def test_beta_round_trip_via_synth(self, capsys, tmp_path):
         sample = tmp_path / "sample.csv"
         code = main([
@@ -647,6 +659,17 @@ class TestSynth:
                 capsys, "synth", "--beta", "0.5", "--n", "3", "--round", "--group-id", group_id
             )
             assert (code, out, err) == (1, "", "error: --group-id must not be blank\n")
+
+    @pytest.mark.parametrize("group_id", [" a ", "a "])
+    def test_group_id_with_surrounding_whitespace_is_refused(self, capsys, group_id):
+        # the tabular readers strip each field, so CSV would read back another id than JSON
+        code, out, err = run(
+            capsys, "synth", "--beta", "0.3", "--x0", "5", "--n", "3", "--round",
+            "--group-id", group_id, "--format", "csv",
+        )
+        assert (code, out, err) == (
+            1, "", "error: --group-id must not begin or end with whitespace\n"
+        )
 
     def test_rounded_draw_past_int64_is_refused(self, capsys):
         # rounded to int64 unchecked, the draw would wrap to -2**63

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 from jsonschema import Draft202012Validator
 
+from alphaindex.cli import main
 from alphaindex.ingest import (
     LONG_FORM_HEADER,
     SUMMARY_FORM_HEADER,
@@ -18,7 +19,7 @@ from alphaindex.ingest import (
     write_dataset,
 )
 from alphaindex.metrics import h_index
-from alphaindex.model import validate
+from alphaindex.model import ResearcherProfile, validate
 
 import ingest_reference
 from conftest import random_dataset
@@ -226,6 +227,28 @@ def test_long_form_matches_reference_loop(tmp_path, rng):
     for kind in ("duplicate paper", "blank", "fields, got", "not an integer", "negative",
                  "exceeds the ceiling", "total citations exceed", "no data rows"):
         assert any(kind in e for e in errors), kind
+
+
+def test_reader_built_profiles_match_the_public_constructor(tmp_path, rng):
+    # the row loops build profiles without the constructor's checks
+    synthetic = tmp_path / "synth.csv"
+    assert main(["synth", "--beta", "0.3", "--x0", "5", "--n", "500", "--seed", "3", "--round",
+                 "--format", "csv", "--output", str(synthetic)]) == 0
+    reports = [read_summary_form(synthetic)]
+    for i, make in enumerate([_random_long_form, _random_summary_form] * 100):
+        path = tmp_path / f"{i}.csv"
+        path.write_bytes(make(rng))
+        reports.append(read_dataset_file(path))
+    profiles = [m for r in reports if r.ok for g in r.dataset.groups for m in g.members]
+    assert reports[0].ok
+    assert any(p.paper_citations for p in profiles)
+    assert any(p.paper_citations is None and p.total_citations is not None for p in profiles)
+    for p in profiles:
+        assert type(p) is ResearcherProfile
+        assert ResearcherProfile(*p) == p
+        counts = [p.h_index, *(p.paper_citations or ())]
+        counts += [] if p.total_citations is None else [p.total_citations]
+        assert all(type(c) is int for c in counts), p
 
 
 class TestSummaryForm:
@@ -611,6 +634,50 @@ class TestCountCeiling:
         else:
             assert summary.errors == (value,)
             assert long.errors == (value.replace("h_index", "citations"),)
+
+    @pytest.mark.parametrize(
+        "raw, expected",
+        [
+            ("007", 7),
+            (" 7 ", 7),
+            ("+3", "{} '+3' is not an integer"),
+            ("1_0", "{} '1_0' is not an integer"),
+            ("1.5", "{} '1.5' is not an integer"),
+            ("\u0663", "{} '\u0663' is not an integer"),  # Arabic-Indic three
+            ("-2", "negative {} -2"),
+            ("-0", 0),
+            ("", "{} '' is not an integer"),
+            ("9" * 50, 10**50 - 1),
+            ("9" * 51, "{} exceeds the ceiling 10**50"),
+            (str(10**50), 10**50),
+            (str(10**50 + 1), "{} exceeds the ceiling 10**50"),
+            ("9" * 5000, "{} exceeds the ceiling 10**50"),
+        ],
+        ids=["leading-zeros", "spaces", "plus", "underscore", "decimal-point", "arabic-indic",
+             "negative", "minus-zero", "blank", "50-nines", "51-nines", "ceiling",
+             "past-ceiling", "5000-digits"],
+    )
+    @pytest.mark.parametrize("column", ["h_index", "total_citations", "citations"])
+    def test_inline_read_agrees_with_parse_count(self, raw, expected, column):
+        # a field of few plain digits is read inline, any other by _parse_count;
+        # both must give the same count, or refuse the row with the same message
+        if column == "citations":
+            report = read_long_form(rows(f"group_id,researcher_id,paper_id,citations\ng,r,p,{raw}\n"))
+        else:
+            row = f"g,r,{raw},{10**50}" if column == "h_index" else f"g,r,0,{raw}"
+            report = read_summary_form(rows(f"group_id,researcher_id,h_index,total_citations\n{row}\n"))
+        if column == "total_citations" and raw == "":  # kept, with a warning
+            assert report.warnings == (
+                "row 2: 'r' has no total_citations; "
+                "citation-distribution analyses will exclude this member",
+            )
+            expected = None
+        if isinstance(expected, str):
+            assert report.errors == (f"row 2: {expected.format(column)}",)
+            return
+        member = report.dataset.groups[0].members[0]
+        value = member.paper_citations[0] if column == "citations" else getattr(member, column)
+        assert (value, type(value)) == (expected, type(expected))
 
     @pytest.mark.parametrize(
         "member, key",

@@ -38,7 +38,8 @@ def summary_file(tmp_path):
     lines = ["group_id,researcher_id,h_index,total_citations"]
     # h-indexes 2..9 with one peak, so that the Giddings fit converges
     hs = [h for h, n in zip(range(2, 10), (1, 3, 6, 8, 6, 3, 2, 1)) for _ in range(n)]
-    lines += [f"g{i % 2},r{i},{h},{30 + 11 * i}" for i, h in enumerate(hs)]
+    # unequal groups: rank samples the smaller one whole, which needs no kernel call
+    lines += [f"g{int(i >= 10)},r{i},{h},{30 + 11 * i}" for i, h in enumerate(hs)]
     path = tmp_path / "summary.csv"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
