@@ -15,6 +15,13 @@ tools.
 Importing this module loads no numpy: each handler imports the numerical
 modules it needs (``distribution``, ``ranking``, ``synth``) in its body, so
 ``validate``, ``metrics``, ``lorenz`` and ``psi`` start without them.
+
+:func:`main` pauses the cyclic garbage collector from the end of argument
+parsing until it returns, and then leaves it on or off as it found it.  A
+command frees its data by reference counting; the collector's passes find
+almost nothing to free, but the profiles an ingest builds (tuples, which it
+keeps tracking) push it into full passes over every object numpy and scipy
+have loaded.
 """
 
 from __future__ import annotations
@@ -22,6 +29,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import gc
 import io
 import json
 import math
@@ -494,6 +502,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    # no cyclic garbage collection for the rest of the command (see the
+    # module docstring); the collector is left as it was found
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
     try:
         _emit(args, _render(args.handler(args), args.format))
     except (CliError, AlphaIndexError, ValueError) as exc:
@@ -502,6 +514,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if gc_was_enabled:
+            gc.enable()
     return 0
 
 

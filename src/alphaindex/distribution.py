@@ -445,9 +445,19 @@ def fit_giddings(hist: Histogram) -> GiddingsFit:
         # broadcasts: column vectors give one row per (ln width, center)
         return _project(_giddings_peak(x, 1.0, np.exp(ln_width), center), y)
 
+    (lo_w, lo_c), (hi_w, hi_c) = lo.tolist(), hi.tolist()
+    counts_c = counts - counts.mean()
+
     def objective(theta):
-        inside = np.all((lo <= theta) & (theta <= hi)) and theta[1] > 0
-        return float(project(*theta)[2]) if inside else 1e300
+        # _project's residual SS on one point, in the same arithmetic
+        ln_width, center = theta.tolist()
+        if not (lo_w <= ln_width <= hi_w and lo_c <= center <= hi_c and center > 0):
+            return 1e300  # also for NaN, which fails every comparison
+        g = _giddings_peak(centers, 1.0, np.exp(ln_width), center)
+        g_c = g - np.add.reduce(g) / g.size
+        s_gy, s_gg = float(g_c @ counts_c), float(np.einsum("i,i->", g_c, g_c))
+        resid = (s_gy / s_gg if s_gy > 0 and s_gg > 0 else 0.0) * g_c - counts_c
+        return float(np.einsum("i,i->", resid, resid))
 
     # the grid runs on adjacent bins merged to at most _GRID_BINS by their
     # mean center and count (the identity at _GRID_BINS bins or fewer)

@@ -409,12 +409,13 @@ def _parse_member(raw, path: str, errors: list[str]) -> ResearcherProfile | None
         return None
     papers = raw.get("paper_citations")
     if "paper_citations" in raw:
-        if not isinstance(papers, list) or not all(_is_count(c) for c in papers):
+        papers = _plain_counts(papers) if isinstance(papers, list) else None
+        if papers is None:
             errors.append(f"{path}.paper_citations: expected a list of integers in [0, 10**50]")
             return None
-        papers = tuple(papers)
-    return ResearcherProfile(
-        id=raw["id"], h_index=raw["h_index"], total_citations=total, paper_citations=papers
+    # every field is checked above; the counts are stored as plain ints
+    return _checked_profile(
+        (raw["id"], int(raw["h_index"]), None if total is None else int(total), papers)
     )
 
 
@@ -446,6 +447,14 @@ def _is_id(text: str) -> bool:
 
 def _is_count(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and 0 <= value <= MAX_COUNT
+
+
+def _plain_counts(values: list) -> tuple[int, ...] | None:
+    """``values`` as a tuple of plain ints if each passes :func:`_is_count`, else None."""
+    # plain ints are checked inline, without a call per value
+    if all(type(v) is int and 0 <= v <= MAX_COUNT for v in values):
+        return tuple(values)
+    return tuple(map(int, values)) if all(map(_is_count, values)) else None
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Command-line interface: outputs, exit codes, determinism, schemas."""
 
+import gc
 import json
 import subprocess
 import sys
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 import alphaindex
+from alphaindex import cli, ingest
 from alphaindex.cli import main
 from alphaindex.distribution import DEFAULT_BETA_GRID, DEFAULT_K_GRID
 from alphaindex.ingest import write_dataset
@@ -800,6 +802,72 @@ class TestTabDelimited:
             main(["metrics", str(summary_file), "--tab"])
         assert exc.value.code == 2
         assert "unrecognized arguments: --tab" in capsys.readouterr().err
+
+
+class TestCollectorPause:
+    """main runs a command with the cyclic collector paused and restores it."""
+
+    @pytest.fixture(params=[True, False], ids=["gc-on", "gc-off"])
+    def collector(self, request):
+        was = gc.isenabled()
+        (gc.enable if request.param else gc.disable)()
+        yield request.param
+        (gc.enable if was else gc.disable)()
+
+    @pytest.mark.parametrize("outcome", ["exit-0", "exit-1", "exit-2", "handler-raises"])
+    def test_state_left_as_found(self, capsys, monkeypatch, tmp_path, summary_file, collector, outcome):
+        seen = []
+        read = ingest.read_dataset_file
+
+        def reading(path):
+            seen.append(gc.isenabled())
+            if outcome == "handler-raises":
+                raise RuntimeError("boom")
+            return read(path)
+
+        monkeypatch.setattr(ingest, "read_dataset_file", reading)
+        empty = tmp_path / "empty.json"
+        empty.write_text('{"groups": []}', encoding="utf-8")
+        path = {"exit-1": empty, "exit-2": tmp_path / "missing.json"}.get(outcome, summary_file)
+        if outcome == "handler-raises":
+            with pytest.raises(RuntimeError, match="boom"):
+                main(["metrics", str(path)])
+        else:
+            assert run(capsys, "metrics", path)[0] == int(outcome[-1])
+        assert seen == [False]
+        assert gc.isenabled() is collector
+
+    def test_no_collection_during_a_command(self, capsys, monkeypatch, tmp_path, collector):
+        # 3,000 profiles are far more new objects than a generation-0 pass waits for
+        path = tmp_path / "big.csv"
+        path.write_text(
+            "group_id,researcher_id,h_index,total_citations\n"
+            + "".join(f"g{i % 3},r{i},{i % 40},{i}\n" for i in range(3000)),
+            encoding="utf-8",
+        )
+        active, starts = [], []
+        read, emit = ingest.read_dataset_file, cli._emit
+
+        def reading(path):
+            active.append(True)
+            return read(path)
+
+        def emitting(args, text):
+            emit(args, text)
+            active.clear()
+
+        def callback(phase, info):
+            if phase == "start" and active:
+                starts.append(info["generation"])
+
+        monkeypatch.setattr(ingest, "read_dataset_file", reading)
+        monkeypatch.setattr(cli, "_emit", emitting)
+        gc.callbacks.append(callback)
+        try:
+            code = run(capsys, "distfit", path, "--analysis", "beta")[0]
+        finally:
+            gc.callbacks.remove(callback)
+        assert (code, starts) == (0, [])
 
 
 class TestOutputDestination:

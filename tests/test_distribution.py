@@ -288,6 +288,22 @@ STEP = Histogram(
     bin_edges=tuple(float(e) for e in range(2, 10)),
     counts=(3.0, 3.0, 2.0, 2.0, 2.0, 2.0, 2.0),
 )
+# a broad peak on 150 unit bins, so the grid runs on merged bins, and two
+# peaks on 40; whole counts keep them free of last-digit differences in
+# how the peaks are evaluated
+MERGED_150 = Histogram(
+    bin_edges=tuple(float(e) for e in range(1, 152)),
+    counts=tuple(
+        float(round(c)) for c in wide_histogram(150, GiddingsFit(2.0, 900.0, 8.0, 50.0)).counts
+    ),
+)
+TWO_PEAKS = Histogram(
+    bin_edges=tuple(float(e) for e in range(1, 42)),
+    counts=(9.0, 15.0, 22.0, 28.0, 31.0, 32.0, 31.0, 29.0, 25.0, 21.0, 18.0, 14.0, 12.0, 10.0,
+            8.0, 7.0, 7.0, 7.0, 8.0, 9.0, 10.0, 11.0, 12.0, 12.0, 13.0, 14.0, 14.0, 14.0, 14.0,
+            14.0, 13.0, 12.0, 12.0, 11.0, 10.0, 9.0, 8.0, 7.0, 6.0, 6.0),
+)
+CONSTANT = Histogram(bin_edges=tuple(float(e) for e in range(1, 9)), counts=(5.0,) * 7)
 
 
 class TestFitGiddings:
@@ -306,6 +322,32 @@ class TestFitGiddings:
             got = getattr(fit, name)
             want = getattr(REFERENCE_PEAK, name)
             assert abs(got - want) / abs(want) < 0.05
+
+    # float.hex of baseline, amplitude, width, center and residual_ss
+    @pytest.mark.parametrize(
+        "hist, want",
+        [
+            (POOLED_H, ("0x1.68a9066894d80p+4", "0x1.763c2afcd3ad5p+15", "0x1.95fe3fecbe810p+1",
+                        "0x1.52f198d460884p+4", "0x1.702ac1f573778p+12")),
+            (MERGED_150, ("0x1.da6544d533574p+0", "0x1.cc93a0ef74a13p+9", "0x1.066daa2fcb903p+3",
+                          "0x1.9278aedaaafe7p+5", "0x1.b0bfe2fbaacf0p+3")),
+            (TWO_PEAKS, ("0x1.45de31cfc6714p+3", "0x1.3b88620d5c61bp+7", "0x1.15ebdfcf76bd3p-1",
+                         "0x1.d3b625f1eecccp+2", "0x1.bc59c63a9ac04p+7")),
+            (CONSTANT, ("0x1.4000000000000p+2", "0x0.0p+0", "0x1.0000000000001p-3",
+                        "0x1.0000000000000p+0", "0x0.0p+0")),
+        ],
+        ids=["pooled-h", "merged-150-bins", "two-peaks", "constant"],
+    )
+    def test_outputs_pinned_to_the_last_bit(self, hist, want):
+        fit = fit_giddings(hist)
+        fields = (fit.baseline, fit.amplitude, fit.width, fit.center, fit.residual_ss)
+        assert (tuple(x.hex() for x in fields), fit.converged) == (want, True)
+
+    def test_bins_below_zero_refused(self):
+        hist = Histogram(bin_edges=tuple(float(e) for e in range(-1, 8)), counts=(5.0,) * 8)
+        with pytest.raises(ValueError) as exc:
+            fit_giddings(hist)
+        assert str(exc.value) == "peak-shape fit needs bins at h >= 0"
 
     def test_needs_six_nonempty_bins(self):
         hist = Histogram(
@@ -336,8 +378,7 @@ class TestFitGiddings:
         assert fit.amplitude == pytest.approx(amplitude, rel=1e-9)
 
     def test_constant_counts_fit_the_baseline_alone(self):
-        hist = Histogram(bin_edges=tuple(float(e) for e in range(1, 9)), counts=(5.0,) * 7)
-        fit = fit_giddings(hist)
+        fit = fit_giddings(CONSTANT)
         assert (fit.amplitude, fit.baseline, fit.residual_ss) == (0.0, 5.0, 0.0)
 
     def test_valley_matches_the_four_parameter_search(self):

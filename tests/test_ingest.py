@@ -539,6 +539,22 @@ class TestJsonDocuments:
         doc = {"groups": [{"id": "g", "members": [{"id": "r", "h_index": True}]}]}
         assert not read_dataset(doc).ok
 
+    def test_int_subclass_counts_are_stored_as_plain_ints(self):
+        class Count(int):
+            pass
+
+        member = {"id": "r", "h_index": Count(2), "total_citations": Count(9),
+                  "paper_citations": [Count(5), 4, Count(0)]}
+        report = read_dataset({"groups": [{"id": "g", "members": [member]}]})
+        (profile,) = report.dataset.groups[0].members
+        assert profile == ResearcherProfile("r", 2, 9, (5, 4, 0))
+        counts = [profile.h_index, profile.total_citations, *profile.paper_citations]
+        assert [type(c) for c in counts] == [int] * 5
+        member["paper_citations"] = [Count(1), Count(10**50 + 1)]
+        assert read_dataset({"groups": [{"id": "g", "members": [member]}]}).errors == (
+            "groups[0].members[0].paper_citations: expected a list of integers in [0, 10**50]",
+        )
+
 
 @pytest.mark.parametrize(
     "doc, ok",

@@ -93,7 +93,10 @@ def test_scaled_variant_is_elementwise():
 
 
 def test_scaled_variant_domain_guard_on_arrays():
-    with pytest.raises(ValueError):
-        bessel_i1_scaled(np.array([1.0, -0.1, 3.0]))
-    with pytest.raises(ValueError):
+    # the message names the most negative value
+    with pytest.raises(ValueError) as exc:
+        bessel_i1_scaled(np.array([1.0, -0.1, 3.0, -2.5]))
+    assert str(exc.value) == "bessel_i1_scaled requires x >= 0, got -2.5"
+    with pytest.raises(ValueError) as exc:
         bessel_i1_scaled(-0.1)
+    assert str(exc.value) == "bessel_i1_scaled requires x >= 0, got -0.1"
