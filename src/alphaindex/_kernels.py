@@ -17,13 +17,13 @@ The pure-Python loop that states the contract one sample at a time lives in
 
 Cost: the values are clipped at the subset size s, so the partial
 Fisher-Yates pass swaps values, not member indexes.  Each sample owns ``n``
-value cells of a position-major pool, in the narrowest signed integer type
-that holds s (one byte for s below 128), and each of the s steps reads and
-writes one cell per sample.  A call therefore allocates about
-``n_samples * n`` narrow cells and touches ``2 * n_samples * s`` of them
-afterwards.  Filling the pool is cheap for committee and board sizes (tens
-to hundreds of members) and becomes the dominant cost for groups of tens of
-thousands of members.
+value cells of a position-major pool typed ``np.min_scalar_type(s)`` (one
+byte for s up to 255), and each of the s steps reads and writes one cell
+per sample, so a call allocates about ``n_samples * n`` narrow cells and
+touches ``2 * n_samples * s`` of them; the other stages are a pass or two
+each over an ``(s, n_samples)`` array, the h-index sort in 32 bits.  Filling
+the pool is cheap for committee and board sizes (tens to hundreds of
+members) and becomes the dominant cost for groups of tens of thousands.
 """
 
 import numpy as np
@@ -76,16 +76,15 @@ def subset_hindex_sum(
         raise ValueError(f"n_samples must be positive, got {n_samples}")
 
     # A subset's h-index never exceeds s, so values are clipped at s here, in
-    # Python ints, and then held in the narrowest signed type that holds s:
+    # Python ints, and then held in the narrowest unsigned type that holds s:
     # the swap pass moves them through memory, so a narrow pool is a fast one.
-    pool_dtype = next(t for t in (np.int8, np.int16, np.int32, np.int64) if s <= np.iinfo(t).max)
+    pool_dtype = np.min_scalar_type(s)
     vals = np.array([v if v < s else s for v in ints], dtype=pool_dtype)
     base = _mix(np.array([(int(seed) + (int(key) + 1) * _GOLDEN) & _MASK64], dtype=np.uint64))
-    steps = np.arange(s, dtype=np.intp)
     # state offset of draw t within its sample: (t + 1) * GOLDEN, wrapping
     step_offsets = np.arange(1, s + 1, dtype=np.uint64) * _U_GOLDEN
-    bounds = (n - steps).astype(np.uint64)
-    ranks = np.arange(1, s + 1)
+    bounds = np.arange(n, n - s, -1, dtype=np.uint64)
+    ranks = np.arange(s, 0, -1, dtype=np.promote_types(pool_dtype, np.uint32))
     chunk = max(1, _MAX_CELLS // n)
     total = 0
     for j0 in range(0, n_samples, chunk):
@@ -96,13 +95,12 @@ def subset_hindex_sum(
         # row t, column j: mix(state_j + (t + 1) * GOLDEN) % (n - t); draw t adds t
         draws = _mix(step_offsets[:, None] + state[None, :])
         draws %= bounds[:, None]
-        # position-major pool: cell p * m + j holds position p of sample j, so
-        # row t of the pool is position t of every sample, and draw t of
-        # sample j swaps cell t * m + j with cell (draw + t) * m + j
-        cells = draws.astype(np.intp)
-        cells += steps[:, None]
+        # position-major pool: cell p * m + j holds position p of sample j, and
+        # draw t of sample j swaps cell t * m + j (row t of the pool) with cell
+        # draw * m + t * m + j, built in place on the draws since draw < n
+        cells = draws.view(np.int64)
         cells *= m
-        cells += np.arange(m, dtype=np.intp)
+        cells += np.arange(s * m, dtype=np.int64).reshape(s, m)
         pool = np.repeat(vals, m)
         rows = pool.reshape(n, m)
         # partial Fisher-Yates on every sample at once; position t is never
@@ -112,8 +110,9 @@ def subset_hindex_sum(
             there = cells[t]
             chosen[t] = pool[there]
             pool[there] = rows[t]
-        # h-index per sample: descending sort, count values >= their 1-based rank
-        subset = chosen.T.astype(np.int64)
+        # h-index per sample: ascending sort in 32 bits (64 past 2**32 - 1 only),
+        # then count the values >= their descending rank, s, s - 1, ..., 1
+        subset = chosen.T.astype(ranks.dtype)
         subset.sort(axis=1)
-        total += int(np.count_nonzero(subset[:, ::-1] >= ranks))
+        total += int(np.count_nonzero(subset >= ranks))
     return total

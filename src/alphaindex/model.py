@@ -93,6 +93,7 @@ class ResearcherProfile(_ProfileFields):
 # count is a plain int in [0, MAX_COUNT], and that paper_citations is None
 # or a tuple of such ints.
 _checked_profile = functools.partial(tuple.__new__, ResearcherProfile)
+_h_index_of = operator.attrgetter("h_index")  # the field getter of Group.h_values
 
 
 def _count(value, rid: str, name: str) -> int:
@@ -124,7 +125,7 @@ class Group:
 
     def h_values(self) -> tuple[int, ...]:
         """Member h-indexes, in member order."""
-        return tuple(m.h_index for m in self.members)
+        return tuple(map(_h_index_of, self.members))
 
 
 @dataclass(frozen=True)

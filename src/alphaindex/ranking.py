@@ -18,7 +18,7 @@ from __future__ import annotations
 import hashlib
 import math
 from collections.abc import Iterable, Sequence
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from . import _kernels
 from .errors import SampleTooLargeError, TooFewGroupsError
@@ -94,7 +94,7 @@ class RankingReport:
     def as_dict(self) -> dict:
         """JSON-ready representation."""
         return {
-            "rows": [asdict(r) for r in self.rows],
+            "rows": [vars(r).copy() for r in self.rows],  # a row's __dict__: its fields, in order
             "provenance": {
                 "reference_group_id": self.reference_group_id,
                 "reference_size": self.reference_size,

@@ -139,6 +139,27 @@ class TestMomentRatios:
             empirical_moment_ratio(2, [1.0, 0.0])
 
     @pytest.mark.parametrize(
+        "ratio, args, error, message",
+        [
+            (theoretical_moment_ratio, (0.5, 0.3), ValueError, "k must be >= 1, got 0.5"),
+            (theoretical_moment_ratio, (2, 0.0), ValueError, "beta must be positive, got 0.0"),
+            (theoretical_moment_ratio, (2, -1), ValueError, "beta must be positive, got -1"),
+            (empirical_moment_ratio, (0, [1.0, 2.0]), ValueError, "k must be >= 1, got 0"),
+            (empirical_moment_ratio, (2, []), InsufficientDataError,
+             "moment ratio of an empty sample"),
+            (empirical_moment_ratio, (2, [3.0, -1.0]), ValueError,
+             "moment ratios require strictly positive data"),
+        ],
+        ids=["theory-k", "theory-beta-zero", "theory-beta-negative", "sample-k", "empty",
+             "negative"],
+    )
+    def test_refusals_name_their_reason(self, ratio, args, error, message):
+        with pytest.raises(error) as exc:
+            ratio(*args)
+        assert type(exc.value) is error
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize(
         "ratio, args, named",
         [
             (theoretical_moment_ratio, (1.1, 1e-300), "k=1.1, beta=1e-300"),  # exp overflows
@@ -203,6 +224,16 @@ class TestFitBeta:
         with pytest.raises(ValueError, match="at least 1e-06, got 1e-300"):
             fit_beta(x, beta_grid=(1e-300, 0.3))
         assert fit_beta(x, beta_grid=(1e-6, 0.3)).grid == (1e-6, 0.3)
+
+    def test_nonpositive_data_refused(self):
+        with pytest.raises(ValueError) as exc:
+            fit_beta([5.0] * 10 + [0.0])
+        assert str(exc.value) == "shape fit requires strictly positive data"
+
+    def test_empty_beta_grid_refused(self):
+        with pytest.raises(ValueError) as exc:
+            fit_beta(np.arange(1, 30), beta_grid=())
+        assert str(exc.value) == "beta_grid must be non-empty"
 
     def test_non_finite_beta_grid_value_refused(self):
         for value in (math.nan, math.inf):

@@ -50,10 +50,14 @@ def test_crosses_the_default_chunk_boundary(rng):
         subset_reference.subset_hindex_sum(vals, 20, m, 2**64 - 1, 5)
 
 
-@pytest.mark.parametrize("n, s", [(300, 260), (130, 127), (131, 128), (32770, 32767), (32771, 32768)])
+@pytest.mark.parametrize("n, s", [
+    (300, 260), (130, 127), (131, 128), (257, 255), (258, 256),
+    (32770, 32767), (32771, 32768), (65537, 65535), (65538, 65536),
+])
 def test_pool_types(rng, n, s):
-    # s = 260 is past any 8-bit pool; the others are the largest s of a pool
-    # type and the smallest of the next, with values past s to be clipped
+    # s = 260 is past any 8-bit pool; the others pair the largest s of a
+    # pool type with the smallest of the next, for unsigned pools (255 and
+    # 65535) and signed ones (127 and 32767), with values past s to be clipped
     vals = [int(v) for v in rng.integers(0, s * 3 // 2, size=n)]
     assert _kernels.subset_hindex_sum(vals, s, 3, 77, 1) == \
         subset_reference.subset_hindex_sum(vals, s, 3, 77, 1)

@@ -1,6 +1,7 @@
 """Relative h-group estimation and alpha-weight ranking."""
 
 import json
+from dataclasses import fields
 from itertools import combinations
 
 import numpy as np
@@ -8,7 +9,13 @@ import pytest
 
 from alphaindex.errors import DegenerateGroupError, SampleTooLargeError, TooFewGroupsError
 from alphaindex.metrics import h_group, h_index
-from alphaindex.ranking import GINI_FLOOR, rank, rank_from_precomputed, relative_h_group
+from alphaindex.ranking import (
+    GINI_FLOOR,
+    RankingRow,
+    rank,
+    rank_from_precomputed,
+    relative_h_group,
+)
 from alphaindex.synth import synth_group
 
 from conftest import random_group
@@ -23,6 +30,14 @@ PUBLISHED_ROWS = [
     ("ECDL", 6.95, 0.487, 0.08017),
     ("EASE", 6.00, 0.548, 0.06150),
 ]
+
+
+def assert_rows_exact(rows, expected):
+    """Report rows equal ``expected`` value for value, keys in field order."""
+    assert rows == expected
+    order = [f.name for f in fields(RankingRow)]
+    assert [list(row) for row in rows] == [order] * len(expected)
+    assert all(type(row[k]) is type(want[k]) for row, want in zip(rows, expected) for k in order)
 
 
 class TestRelativeHGroup:
@@ -173,6 +188,18 @@ class TestRank:
         assert report.floored_group_ids == ("flat",)
         assert report.as_dict()["provenance"]["gini_floor"] == GINI_FLOOR == 1e-3
 
+    def test_report_rows_pinned(self):
+        # "flat" is floored, and its row keeps its raw gini of 0
+        groups = [synth_group("flat", [4, 4, 4]), synth_group("mixed", [9, 3, 1, 7, 2])]
+        report = rank(groups, n_samples=200, seed=2)
+        assert report.floored_group_ids == ("flat",)
+        assert_rows_exact(report.as_dict()["rows"], [
+            {"group_id": "flat", "gini": 0.0, "h_group": 3, "relative_h_group": 3.0,
+             "alpha": 0.9981656725279854, "rank": 1},
+            {"group_id": "mixed", "gini": 0.38181818181818183, "h_group": 3,
+             "relative_h_group": 2.105, "alpha": 0.0018343274720147222, "rank": 2},
+        ])
+
     def test_reference_keeps_its_h_group(self, rng):
         # the reference is sampled whole, so its estimate is exact and at
         # least 1, and the alpha weights of rank are always defined
@@ -219,6 +246,17 @@ class TestRankFromPrecomputed:
     def test_precomputed_rows_have_no_absolute_column(self):
         report = rank_from_precomputed([("x", 2.0, 0.3), ("y", 1.0, 0.4)])
         assert all(r.h_group is None for r in report.rows)
+
+    def test_report_rows_pinned(self):
+        report = rank_from_precomputed([("x", 2.0, 0.3), ("y", 1.0, 0.4), ("flat", 4.0, 0.0)])
+        assert_rows_exact(report.as_dict()["rows"], [
+            {"group_id": "flat", "gini": 0.0, "h_group": None, "relative_h_group": 4.0,
+             "alpha": 0.9977135730617336, "rank": 1},
+            {"group_id": "x", "gini": 0.3, "h_group": None, "relative_h_group": 2.0,
+             "alpha": 0.0016628559551028893, "rank": 2},
+            {"group_id": "y", "gini": 0.4, "h_group": None, "relative_h_group": 1.0,
+             "alpha": 0.0006235709831635835, "rank": 3},
+        ])
 
     @pytest.mark.parametrize("rows, column", [
         ([("bad", float("nan"), 0.3)], "relative h-group"),
