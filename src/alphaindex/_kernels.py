@@ -63,24 +63,22 @@ def subset_hindex_sum(
     Each subset has ``sample_size`` elements drawn without replacement.
     ``seed`` and ``key`` select the deterministic stream; sample ``j`` uses
     a state derived from ``(seed, key, j)`` only.
+
+    The arguments are not checked.  The one caller,
+    :func:`alphaindex.ranking.relative_h_group`, passes plain ints only:
+    ``values`` a list of non-negative ones, ``1 <= sample_size <=
+    len(values)``, ``n_samples >= 1``, and ``seed`` and ``key`` in
+    ``[0, 2**64)``.
     """
-    ints = [int(v) for v in values]
-    n = len(ints)
-    if any(v < 0 for v in ints):
-        raise ValueError("values must be non-negative")
-    s = int(sample_size)
-    if not 1 <= s <= n:
-        raise ValueError(f"sample_size must be in [1, {n}], got {sample_size}")
-    n_samples = int(n_samples)
-    if n_samples < 1:
-        raise ValueError(f"n_samples must be positive, got {n_samples}")
+    n = len(values)
+    s = sample_size
 
     # A subset's h-index never exceeds s, so values are clipped at s here, in
     # Python ints, and then held in the narrowest unsigned type that holds s:
     # the swap pass moves them through memory, so a narrow pool is a fast one.
     pool_dtype = np.min_scalar_type(s)
-    vals = np.array([v if v < s else s for v in ints], dtype=pool_dtype)
-    base = _mix(np.array([(int(seed) + (int(key) + 1) * _GOLDEN) & _MASK64], dtype=np.uint64))
+    vals = np.array([v if v < s else s for v in values], dtype=pool_dtype)
+    base = _mix(np.array([(seed + (key + 1) * _GOLDEN) & _MASK64], dtype=np.uint64))
     # state offset of draw t within its sample: (t + 1) * GOLDEN, wrapping
     step_offsets = np.arange(1, s + 1, dtype=np.uint64) * _U_GOLDEN
     bounds = np.arange(n, n - s, -1, dtype=np.uint64)

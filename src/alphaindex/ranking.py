@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import operator
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
@@ -32,6 +33,14 @@ _MAX_SEED = 2**64 - 1
 GINI_FLOOR = 1e-3
 
 
+def _integer(value, name: str) -> int:
+    """``value`` as a plain ``int``; a ``TypeError`` naming ``name`` if it is no integer."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
+
+
 def relative_h_group(
     target: Group,
     sample_size: int,
@@ -44,10 +53,16 @@ def relative_h_group(
     multiset, on the stream keyed by ``seed`` and the target's id over the
     sorted h-values, so member order and other groups do not matter.  With
     ``sample_size`` equal to the group size the result is the group's
-    absolute h-group exactly, for any stream.
+    absolute h-group exactly, for any stream.  ``sample_size``, ``n_samples``
+    and ``seed`` must be integers (``TypeError`` otherwise).
     """
+    sample_size = _integer(sample_size, "sample_size")
+    n_samples = _integer(n_samples, "n_samples")
+    seed = _integer(seed, "seed")
     if not 0 <= seed <= _MAX_SEED:  # the kernel could not tell it from another seed
         raise ValueError("seed must fit in 64 unsigned bits")
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be positive, got {n_samples}")
     hs = sorted(target.h_values())
     if sample_size < 1:
         raise ValueError(f"sample_size must be positive, got {sample_size}")
@@ -55,7 +70,7 @@ def relative_h_group(
         raise SampleTooLargeError(
             f"sample_size {sample_size} exceeds group {target.id!r} size {len(hs)}"
         )
-    if sample_size == len(hs) and n_samples >= 1:  # the kernel refuses n_samples < 1
+    if sample_size == len(hs):
         # every subset is the whole group, so the kernel would sum h * n_samples
         return float(h_index(hs))
     # surrogatepass encodes every str, so no id can make the key raise
@@ -118,7 +133,9 @@ def rank(groups: Sequence[Group], n_samples: int = 1000, seed: int = 0) -> Ranki
     at least 1 for a group :func:`gini` accepts, and the weights are always
     defined.  Rows are sorted by descending alpha, ties broken by group id,
     and floored ids are sorted, so the order of the input changes nothing.
+    ``n_samples`` and ``seed`` must be integers (``TypeError`` otherwise).
     """
+    n_samples, seed = _integer(n_samples, "n_samples"), _integer(seed, "seed")
     if n_samples < 1:
         raise ValueError(f"n_samples must be positive, got {n_samples}")
     groups = list(groups)

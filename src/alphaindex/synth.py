@@ -1,7 +1,7 @@
 """Deterministic synthetic populations for demos and fit-recovery tests.
 
-The incomplete gamma functions come from ``scipy.special``, imported on the
-first call that needs them, so importing this module loads no scipy.
+The inverse incomplete gamma function comes from ``scipy.special``, imported
+on the first draw, so importing this module loads no scipy.
 """
 
 from __future__ import annotations
@@ -20,8 +20,7 @@ class StretchedExpParams:
     """Shape and scale of a stretched-exponential citation distribution.
 
     The density is proportional to ``exp(-(x/scale)**beta)`` on x > 0; its
-    CDF is the regularized lower incomplete gamma ``P(1/beta, (x/scale)**beta)``
-    (see :func:`stretched_exp_cdf`).
+    CDF is the regularized lower incomplete gamma ``P(1/beta, (x/scale)**beta)``.
     """
 
     beta: float
@@ -33,14 +32,6 @@ class StretchedExpParams:
                 raise ValueError(f"{name} must be positive, got {value}")
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
-
-
-def stretched_exp_cdf(params: StretchedExpParams, x) -> np.ndarray:
-    """CDF of the density ``~ exp(-(x/scale)**beta)`` at ``x`` (vectorized)."""
-    from scipy.special import gammainc
-
-    x = np.asarray(x, dtype=float)
-    return gammainc(1.0 / params.beta, (x / params.scale) ** params.beta)
 
 
 def sample_stretched_exp(

@@ -8,7 +8,7 @@ implementation.
 import numpy as np
 import pytest
 
-from alphaindex.distribution import shapiro_wilk
+from alphaindex.distribution import _sw_weights, shapiro_wilk
 from alphaindex.errors import SampleSizeError, ZeroVarianceError
 
 NORMAL_20 = (
@@ -33,6 +33,14 @@ def test_three_point_linear_sample_is_perfectly_normal():
     assert report.statistic == pytest.approx(1.0, abs=1e-9)
     assert report.p_value == pytest.approx(1.0, abs=1e-6)
     assert report.normal_at_5pct
+
+
+def test_statistic_past_one_is_clamped():
+    # a sample proportional to the weights reads W = 1 + 2**-52 in floats;
+    # it is reported as 1, with p = 1 rather than a log of 1 - W <= 0
+    report = shapiro_wilk(_sw_weights(59) * 1000 + 10)
+    assert report.statistic == 1.0
+    assert report.p_value == 1.0
 
 
 def test_normal_fixture_matches_reference():

@@ -78,6 +78,26 @@ class TestRelativeHGroup:
         with pytest.raises(ValueError, match=param):
             relative_h_group(synth_group("g", [4, 3, 2, 1]), 2, 100, **{param: value})
 
+    @pytest.mark.parametrize(
+        "param, args",
+        [("sample_size", (3.0, 100, 1)), ("n_samples", (3, 100.5, 1)), ("seed", (3, 100, 1.5))],
+    )
+    def test_arguments_must_be_integers(self, param, args):
+        group = synth_group("g", [5, 4, 3, 2, 1, 7, 8])
+        with pytest.raises(TypeError, match=f"^{param} must be an integer"):
+            relative_h_group(group, *args)
+
+    def test_numpy_integer_arguments_taken(self):
+        group = synth_group("g", [5, 4, 3, 2, 1, 7, 8])
+        assert relative_h_group(group, np.int64(3), np.int64(100), np.uint64(1)) == \
+            relative_h_group(group, 3, 100, 1)
+
+    def test_n_samples_must_be_positive(self):
+        for size in (2, 4):  # a subset, and the whole group
+            with pytest.raises(ValueError) as exc:
+                relative_h_group(synth_group("g", [4, 3, 2, 1]), size, 0, 0)
+            assert str(exc.value) == "n_samples must be positive, got 0"
+
     def test_sample_size_must_be_positive(self):
         with pytest.raises(ValueError) as exc:
             relative_h_group(synth_group("g", [4, 3, 2, 1]), 0, 100, 0)
@@ -175,6 +195,19 @@ class TestRank:
         groups = [synth_group("a", [3, 3]), synth_group("b", [4, 4, 4])]
         with pytest.raises(ValueError, match=field):
             rank(groups, **{field: value})
+
+    @pytest.mark.parametrize(
+        "field, value", [("n_samples", 100.9), ("n_samples", 0.5), ("seed", 1.5)]
+    )
+    def test_config_must_be_integers(self, field, value):
+        groups = [synth_group("a", [3, 3]), synth_group("b", [4, 4, 4])]
+        with pytest.raises(TypeError, match=f"^{field} must be an integer"):
+            rank(groups, **{field: value})
+
+    def test_numpy_integer_config_reported_as_int(self):
+        groups = [synth_group("a", [3, 3]), synth_group("b", [4, 4, 4])]
+        report = rank(groups, n_samples=np.int64(10), seed=np.uint64(7)).as_dict()
+        assert json.dumps(report) == json.dumps(rank(groups, n_samples=10, seed=7).as_dict())
 
     def test_duplicate_ids_refused(self):
         groups = [synth_group("a", [3, 3]), synth_group("b", [4, 4]), synth_group("a", [5, 1])]
